@@ -6,8 +6,8 @@ enabled; ``backward(loss)`` walks the tape in reverse execution order
 into every tensor that requires them, and consumes the tape.
 
 Masked attention positions are represented by additive -inf before
-softmax, so -inf values are legitimate in pre-softmax scores; NaN is
-never legitimate and can be trapped with ``set_check_finite(True)``.
+softmax, so -inf values are legitimate in pre-softmax scores; a fully
+masked softmax row comes out all-zero and is counted by ``fault_count``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
     "softmax", "log_softmax", "sigmoid", "tanh", "relu", "layer_norm",
     "embedding", "conv1d", "glu", "dropout", "concat", "slice_axis",
     "transpose", "reshape", "gather_last", "select_time", "gather_time",
-    "fault_count", "reset_faults", "set_check_finite", "tape_size",
+    "fault_count", "reset_faults", "tape_size",
 ]
 
 NEG_INF = float("-inf")
@@ -168,7 +168,6 @@ class _Node:
 
 _TAPE: list = []
 _GRAD_ENABLED = True
-_CHECK_FINITE = False
 _FAULTS = 0
 
 
@@ -183,12 +182,6 @@ def fault_count() -> int:
 def reset_faults():
     global _FAULTS
     _FAULTS = 0
-
-
-def set_check_finite(flag: bool):
-    """When on, any op producing NaN raises immediately (debug aid)."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(flag)
 
 
 @contextmanager
@@ -208,8 +201,6 @@ def _as_tensor(x) -> Tensor:
 
 def _make(data, inputs, vjp) -> Tensor:
     """Wrap an op result; record it on the tape when gradients flow."""
-    if _CHECK_FINITE and np.isnan(data).any():
-        raise FloatingPointError("NaN produced by forward op")
     track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
@@ -599,7 +590,8 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
     """Temporal convolution of x[B, T, Cin] with kernel[K, Cin, Cout].
 
     "same" pads both sides (odd K required); "causal" pads left only, so
-    output t never sees inputs beyond t.
+    output t never sees inputs beyond t; "valid" pads nothing and gives the
+    T - K + 1 outputs whose window lies inside x.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
@@ -611,10 +603,14 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
         left, right = k // 2, k // 2
     elif pad_mode == "causal":
         left, right = k - 1, 0
+    elif pad_mode == "valid":
+        left, right = 0, 0
+        if x.shape[1] < k:
+            raise ShapeError(f"conv1d: {x.shape[1]} positions, kernel width {k}")
     else:
         raise ShapeError(f"conv1d: unknown pad_mode {pad_mode!r}")
-    t = x.shape[1]
     xp = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
+    t = xp.shape[1] - k + 1
     data = np.zeros((x.shape[0], t, kernel.shape[2]))
     for j in range(k):
         data += np.matmul(xp[:, j:j + t, :], kernel.data[j])
@@ -627,7 +623,7 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
             window = xp[:, j:j + t, :]
             gk[j] = window.reshape(-1, window.shape[-1]).T @ flat_g
             gxp[:, j:j + t, :] += np.matmul(g, kernel.data[j].T)
-        gx = gxp[:, left:left + t, :]
+        gx = gxp[:, left:left + x.shape[1], :]
         return gx, gk
 
     return _make(data, (x, kernel), vjp)

@@ -1,6 +1,12 @@
 """Autoregressive inference: greedy and beam search with length-normalized
 scores, plus the full text-to-text translation pipeline.
 
+Search drives a model through the incremental contract of ``models``:
+``init_state(memory)``, then ``step(state, last_ids)`` once per output
+position, with ``state.select(rows)`` carrying beam parents forward. A
+model that implements only ``encode``/``decode_step`` is wrapped in
+RecomputeDecoder, which re-runs the whole prefix on every step.
+
 Hypothesis ordering is deterministic everywhere: score ties break to
 higher raw log-probability, then shorter output, then lexicographically
 smaller id sequence; token-level argmax ties break to the lowest id.
@@ -17,8 +23,8 @@ from .errors import ConfigError
 from .pipeline import PipelineContext
 from .subword import BOS_ID, EOS_ID, PAD_ID
 
-__all__ = ["DecodeConfig", "Hypothesis", "greedy_decode", "greedy_decode_batch",
-           "beam_decode", "translate", "translate_lines"]
+__all__ = ["DecodeConfig", "Hypothesis", "RecomputeDecoder", "greedy_decode",
+           "greedy_decode_batch", "beam_decode", "translate", "translate_lines"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,50 @@ class Hypothesis:
                 tuple(-i for i in self.ids))
 
 
+@dataclass(frozen=True)
+class _PrefixState:
+    memory: object                # encoder memory of the source batch
+    prefix: np.ndarray = None     # [B, t] ids fed so far
+    tiled: bool = False           # rows are hypotheses of one source sentence
+
+    def select(self, rows) -> "_PrefixState":
+        if not self.tiled and len(self.prefix) != 1:
+            raise ConfigError("recompute decoding reorders the hypotheses of "
+                              "one source sentence only")
+        return _PrefixState(self.memory, self.prefix[np.asarray(rows, dtype=np.int64)],
+                            tiled=True)
+
+
+class RecomputeDecoder:
+    """The incremental contract for a model that implements only
+    ``encode``/``decode_step``: the state is the encoder memory and the
+    prefix, and every step re-runs ``decode_step`` over the whole prefix,
+    so a step costs time linear in its position. It decodes duck-typed
+    models, and it is the reference the models' own ``step`` is tested
+    against."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def encode(self, src_ids, src_pad_mask=None):
+        return self.model.encode(src_ids, src_pad_mask)
+
+    def init_state(self, memory) -> _PrefixState:
+        return _PrefixState(memory)
+
+    def step(self, state: _PrefixState, last_ids):
+        last = np.asarray(last_ids, dtype=np.int64)[:, None]
+        prefix = last if state.prefix is None else np.concatenate(
+            [state.prefix, last], axis=1)
+        memory = state.memory.tile(len(prefix)) if state.tiled else state.memory
+        logits = self.model.decode_step(memory, prefix).data[:, -1, :]
+        return logits, _PrefixState(state.memory, prefix, state.tiled)
+
+
+def _incremental(model):
+    return model if hasattr(model, "init_state") else RecomputeDecoder(model)
+
+
 def _step_logprobs(logits: np.ndarray) -> np.ndarray:
     """Next-token log-probs with PAD and BOS barred from generation."""
     x = logits.copy()
@@ -87,14 +137,15 @@ def greedy_decode_batch(model, src_batch, src_pad_mask=None,
     b = src.shape[0]
     lengths = (~src_pad_mask).sum(axis=1)
     caps = np.array([config.resolved_max_len(int(n)) for n in lengths])
+    decoder = _incremental(model)
     with ad.no_grad():
-        memory = model.encode(src, src_pad_mask)
-        prefix = np.full((b, 1), BOS_ID, dtype=np.int64)
+        state = decoder.init_state(model.encode(src, src_pad_mask))
+        nxt = np.full(b, BOS_ID, dtype=np.int64)
         ids = [[] for _ in range(b)]
         logprob = np.zeros(b)
         done = np.zeros(b, dtype=bool)
         for _ in range(int(caps.max())):
-            logits = model.decode_step(memory, prefix).data[:, -1, :]
+            logits, state = decoder.step(state, nxt)
             logp = _step_logprobs(logits)
             choice = logp.argmax(axis=1)  # first max = lowest id
             nxt = np.full(b, PAD_ID, dtype=np.int64)
@@ -109,7 +160,6 @@ def greedy_decode_batch(model, src_batch, src_pad_mask=None,
                     done[i] = True
             if done.all():
                 break
-            prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
     return [Hypothesis(tuple(s), float(lp), config.length_penalty)
             for s, lp in zip(ids, logprob)]
 
@@ -134,16 +184,16 @@ def beam_decode(model, src_ids, config: DecodeConfig = None):
     if src.shape[0] != 1:
         raise ConfigError("beam_decode works on a single sentence")
     max_len = config.resolved_max_len(int((src != PAD_ID).sum()))
+    decoder = _incremental(model)
 
     with ad.no_grad():
-        memory = model.encode(src)
+        state = decoder.init_state(model.encode(src))
         live = [Hypothesis((), 0.0, alpha)]
+        last = np.array([BOS_ID], dtype=np.int64)
         done = []
-        while live:
+        while True:
             k = len(live)
-            prefix = np.array([(BOS_ID,) + h.ids for h in live], dtype=np.int64)
-            mem = memory.tile(k) if k > 1 else memory
-            logits = model.decode_step(mem, prefix).data[:, -1, :]
+            logits, state = decoder.step(state, last)
             logp = _step_logprobs(logits)
             vocab = logp.shape[1]
             scores = np.array([h.logprob for h in live])[:, None] + logp
@@ -151,7 +201,7 @@ def beam_decode(model, src_ids, config: DecodeConfig = None):
             rows = np.repeat(np.arange(k), vocab)
             toks = np.tile(np.arange(vocab), k)
             order = np.lexsort((toks, rows, -flat))[:config.beam]
-            new_live = []
+            new_live, parents = [], []
             for pick in order:
                 i, v = int(rows[pick]), int(toks[pick])
                 hyp = Hypothesis(live[i].ids + (v,), float(flat[pick]), alpha)
@@ -159,12 +209,17 @@ def beam_decode(model, src_ids, config: DecodeConfig = None):
                     done.append(hyp)
                 else:
                     new_live.append(hyp)
+                    parents.append(i)
             live = new_live
-            if done and live:
+            if not live:
+                break
+            if done:
                 best_done = max(h.normalized_score for h in done)
                 best_possible = max(h.logprob for h in live) / max_len ** alpha
                 if best_done >= best_possible:
                     break
+            state = state.select(parents)
+            last = np.array([h.ids[-1] for h in live], dtype=np.int64)
     done.sort(key=Hypothesis.sort_key, reverse=True)
     return done[0], done
 
@@ -195,8 +250,11 @@ def translate_lines(model, lines, ctx: PipelineContext,
         return [translate(model, ln, ctx, config) for ln in lines]
 
     out = [""] * len(lines)
-    todo = [(i, ctx.source_ids(ln)) for i, ln in enumerate(lines)
-            if ctx.source_subwords(ln)]
+    todo = []
+    for i, ln in enumerate(lines):
+        subwords = ctx.source_subwords(ln)
+        if subwords:  # encode() appends EOS, so test emptiness before it
+            todo.append((i, ctx.src_vocab.encode(subwords)))
     for lo in range(0, len(todo), batch_size):
         chunk = todo[lo:lo + batch_size]
         width = max(len(ids) for _, ids in chunk)

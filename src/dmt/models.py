@@ -1,11 +1,23 @@
 """The four encoder-decoder architectures and the label-smoothed loss.
 
-All models share one contract: ``encode`` turns padded source id batches
-into an EncoderMemory, ``decode_step`` produces teacher-forced logits for
-every position of a BOS-led target prefix, and decoder computation is
-causal (logits at position t never see prefix positions beyond t).
-Masked source positions receive exactly zero attention weight via
-additive -inf biases.
+All models share one contract. ``encode`` turns padded source id batches
+into an EncoderMemory. ``decode_step`` produces teacher-forced logits for
+every position of a BOS-led target prefix; training uses it, and its
+computation is causal (logits at position t never see prefix positions
+beyond t). Masked source positions receive exactly zero attention weight
+via additive -inf biases.
+
+Inference decodes incrementally. ``init_state(memory)`` returns a
+DecodeState, and ``step(state, last_ids)`` feeds one token per row (BOS
+first) and returns ``(logits[B, V], state)``: the logits ``decode_step``
+gives at the newest position, at a cost that does not grow with the
+prefix. The LSTM carries (h, c), the transformer caches per-layer
+self-attention keys and values and projects the encoder memory for
+cross-attention once, and the conv decoder keeps each layer's last
+k - 1 inputs. ``state.select(rows)`` reorders or repeats rows, as beam
+search does with parent hypotheses. Models that implement only
+``encode``/``decode_step`` decode through ``decoding.RecomputeDecoder``,
+which re-runs the whole prefix every step.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from .subword import BOS_ID, PAD_ID
 
 __all__ = [
     "LstmConfig", "ConvConfig", "TransformerConfig", "EncoderMemory",
-    "SeqModel", "LstmModel", "ConvModel", "TransformerModel",
+    "DecodeState", "SeqModel", "LstmModel", "ConvModel", "TransformerModel",
     "build_model", "config_for_arch", "label_smoothed_loss", "ARCH_CONFIGS",
 ]
 
@@ -135,7 +147,6 @@ class EncoderMemory:
     pad_mask: np.ndarray        # [B, S]; True at PAD positions
     h0: Tensor = None           # recurrent decoders: initial hidden
     c0: Tensor = None
-    states_raw: Tensor = None   # bilstm: pre-projection states [B, S, 2H]
     fully_masked: np.ndarray = None  # [B]; True where every position is PAD
 
     @property
@@ -150,9 +161,28 @@ class EncoderMemory:
             states=rep_t(self.states),
             pad_mask=np.repeat(self.pad_mask, k, axis=0),
             h0=rep_t(self.h0), c0=rep_t(self.c0),
-            states_raw=rep_t(self.states_raw),
             fully_masked=np.repeat(self.fully_masked, k, axis=0),
         )
+
+
+class DecodeState:
+    """What an incremental decoder carries from one step to the next: the
+    number of positions decoded so far and named tensors whose first axis
+    is the batch row (recurrent state, caches, encoder-side projections)."""
+
+    def __init__(self, t: int, **tensors):
+        self.t = t
+        self.tensors = tensors
+
+    def select(self, rows) -> "DecodeState":
+        """The state of the given rows, in order; rows may repeat."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return DecodeState(self.t, **{k: Tensor(v.data[rows])
+                                      for k, v in self.tensors.items()})
+
+    def advance(self, **updates) -> "DecodeState":
+        """The state one position later, with some tensors replaced."""
+        return DecodeState(self.t + 1, **{**self.tensors, **updates})
 
 
 def _pad_bias(pad_mask: np.ndarray) -> Tensor:
@@ -163,6 +193,13 @@ def _pad_bias(pad_mask: np.ndarray) -> Tensor:
 def _causal_bias(t: int) -> Tensor:
     bias = np.triu(np.full((t, t), NEG_INF), k=1)
     return Tensor(bias[None, :, :])
+
+
+def _dot_attention(q, states, states_t, bias):
+    """Dot-product attention of queries q[B, T, H] over states[B, S, H]
+    (states_t is their [B, H, S] transpose)."""
+    attn = ad.softmax(ad.add(ad.matmul(q, states_t), bias), axis=-1)
+    return ad.matmul(attn, states)
 
 
 def _linear(x, w, b=None):
@@ -370,7 +407,16 @@ class LstmModel(SeqModel):
         h0 = ad.matmul(ad.concat([h_last, h_last_b], axis=1), self.params["proj_h0.w"])
         c0 = ad.matmul(ad.concat([c_last, c_last_b], axis=1), self.params["proj_c0.w"])
         return EncoderMemory(states=states, pad_mask=pad, h0=h0, c0=c0,
-                             states_raw=raw, fully_masked=fully_masked)
+                             fully_masked=fully_masked)
+
+    def _combine(self, h, states, states_t, bias):
+        """The decoder output at one position: tanh(W [h; attention(h)])."""
+        if not self.config.attention:
+            return h
+        b, hd = h.shape
+        ctx = _dot_attention(ad.reshape(h, (b, 1, hd)), states, states_t, bias)
+        return ad.tanh(ad.matmul(ad.concat([h, ad.reshape(ctx, (b, hd))], axis=1),
+                                 self.params["attn_combine.w"]))
 
     def decode_step(self, memory, tgt_prefix, training=False, rng=None):
         cfg = self.config
@@ -387,19 +433,24 @@ class LstmModel(SeqModel):
         for t in range(t_len):
             x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (b, -1))
             h, c = self._cell("dec", x_t, h, c)
-            if cfg.attention:
-                q = ad.reshape(h, (b, 1, hd))
-                scores = ad.add(ad.matmul(q, states_t), bias)
-                attn = ad.softmax(scores, axis=-1)
-                ctx = ad.reshape(ad.matmul(attn, memory.states), (b, hd))
-                combined = ad.tanh(ad.matmul(ad.concat([h, ctx], axis=1),
-                                             self.params["attn_combine.w"]))
-            else:
-                combined = h
+            combined = self._combine(h, memory.states, states_t, bias)
             outs.append(ad.reshape(combined, (b, 1, hd)))
         stacked = ad.concat(outs, axis=1)
         stacked = ad.dropout(stacked, cfg.dropout, rng, training)
         return _linear(stacked, self.params["out.w"], self.params["out.b"])
+
+    def init_state(self, memory) -> DecodeState:
+        return DecodeState(0, h=memory.h0, c=memory.c0, states=memory.states,
+                           states_t=ad.transpose(memory.states, (0, 2, 1)),
+                           bias=_pad_bias(memory.pad_mask))
+
+    def step(self, state: DecodeState, last_ids):
+        s = state.tensors
+        x_t = ad.embedding(self.params["tgt_embed"], last_ids)
+        h, c = self._cell("dec", x_t, s["h"], s["c"])
+        out = self._combine(h, s["states"], s["states_t"], s["bias"])
+        logits = _linear(out, self.params["out.w"], self.params["out.b"])
+        return logits.data, state.advance(h=h, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +483,11 @@ class ConvModel(SeqModel):
         f.uniform("out.w", (d, self.tgt_vocab_size))
         f.zeros("out.b", (self.tgt_vocab_size,))
 
-    def _positions(self, name, n):
-        if n > self.config.max_positions:
-            raise ShapeError(
-                f"sequence length {n} exceeds max_positions {self.config.max_positions}")
-        return ad.slice_axis(self.params[name], 0, 0, n)
+    def _positions(self, name, n, start=0):
+        if start + n > self.config.max_positions:
+            raise ShapeError(f"sequence length {start + n} exceeds "
+                             f"max_positions {self.config.max_positions}")
+        return ad.slice_axis(self.params[name], 0, start, start + n)
 
     def encode(self, src_ids, src_pad_mask=None, training=False, rng=None):
         cfg = self.config
@@ -454,6 +505,13 @@ class ConvModel(SeqModel):
             x = ad.mul(ad.add(x, g), keep)
         return EncoderMemory(states=x, pad_mask=pad, fully_masked=fully_masked)
 
+    def _dec_layer(self, l, y, conv_in, pad_mode, states, states_t, bias):
+        """Decoder layer l: y plus a gated convolution of conv_in and its
+        attention over the encoder states."""
+        h = ad.glu(ad.add(ad.conv1d(conv_in, self.params[f"dec.l{l}.kernel"], pad_mode),
+                          self.params[f"dec.l{l}.b"]), axis=-1)
+        return ad.add(y, ad.add(h, _dot_attention(h, states, states_t, bias)))
+
     def decode_step(self, memory, tgt_prefix, training=False, rng=None):
         cfg = self.config
         tgt_prefix = self._prep_prefix(tgt_prefix)
@@ -464,14 +522,34 @@ class ConvModel(SeqModel):
                    self._positions("dec_pos", t_len))
         y = ad.dropout(y, cfg.dropout, rng, training)
         for l in range(cfg.dec_layers):
-            h = ad.glu(ad.add(ad.conv1d(y, self.params[f"dec.l{l}.kernel"], "causal"),
-                              self.params[f"dec.l{l}.b"]), axis=-1)
-            scores = ad.add(ad.matmul(h, states_t), bias)
-            attn = ad.softmax(scores, axis=-1)
-            ctx = ad.matmul(attn, memory.states)
-            y = ad.add(y, ad.add(h, ctx))
+            y = self._dec_layer(l, y, y, "causal", memory.states, states_t, bias)
         y = ad.dropout(y, cfg.dropout, rng, training)
         return _linear(y, self.params["out.w"], self.params["out.b"])
+
+    def init_state(self, memory) -> DecodeState:
+        cfg = self.config
+        b = memory.states.shape[0]
+        # each layer's inputs at the k - 1 positions before the next one;
+        # zeros before position 0, as causal padding has them
+        windows = {f"win{l}": Tensor(np.zeros((b, cfg.kernel_width - 1, cfg.dim)))
+                   for l in range(cfg.dec_layers)}
+        return DecodeState(0, states=memory.states,
+                           states_t=ad.transpose(memory.states, (0, 2, 1)),
+                           bias=_pad_bias(memory.pad_mask), **windows)
+
+    def step(self, state: DecodeState, last_ids):
+        s = state.tensors
+        b = len(last_ids)
+        y = ad.add(ad.embedding(self.params["tgt_embed"], np.reshape(last_ids, (b, 1))),
+                   self._positions("dec_pos", 1, start=state.t))
+        windows = {}
+        for l in range(self.config.dec_layers):
+            conv_in = ad.concat([s[f"win{l}"], y], axis=1)
+            windows[f"win{l}"] = ad.slice_axis(conv_in, 1, 1, conv_in.shape[1])
+            y = self._dec_layer(l, y, conv_in, "valid", s["states"], s["states_t"],
+                                s["bias"])
+        logits = _linear(y, self.params["out.w"], self.params["out.b"])
+        return logits.data[:, 0], state.advance(**windows)
 
 
 # ---------------------------------------------------------------------------
@@ -516,32 +594,44 @@ class TransformerModel(SeqModel):
         f.zeros("out.b", (self.tgt_vocab_size,))
         self._pe = _sinusoid_table(cfg.max_positions, d)
 
-    def _embed(self, table, ids, rng, training):
+    def _embed(self, table, ids, rng, training, start=0):
+        """Scaled embeddings of ids[B, n] plus the sinusoids of positions
+        start .. start + n - 1."""
         cfg = self.config
-        n = ids.shape[1]
-        if n > cfg.max_positions:
+        end = start + ids.shape[1]
+        if end > cfg.max_positions:
             raise ShapeError(
-                f"sequence length {n} exceeds max_positions {cfg.max_positions}")
+                f"sequence length {end} exceeds max_positions {cfg.max_positions}")
         x = ad.mul(ad.embedding(table, ids), math.sqrt(cfg.d_model))
-        x = ad.add(x, Tensor(self._pe[:n]))
+        x = ad.add(x, Tensor(self._pe[start:end]))
         return ad.dropout(x, cfg.dropout, rng, training)
 
-    def _attention(self, base, q_in, kv_in, bias):
+    def _proj(self, base, name, x):
         p = self.params
-        q = _linear(q_in, p[f"{base}.w_q"], p[f"{base}.b_q"])
-        k = _linear(kv_in, p[f"{base}.w_k"], p[f"{base}.b_k"])
-        v = _linear(kv_in, p[f"{base}.w_v"], p[f"{base}.b_v"])
+        return _linear(x, p[f"{base}.w_{name}"], p[f"{base}.b_{name}"])
+
+    def _heads(self, base, q, k, v, bias):
+        """Multi-head attention of projected queries q over projected keys
+        k and values v, then the output projection; bias None means every
+        key is visible."""
         outs = []
         off = 0
         for dh in self.config.head_dims():
             qs = ad.mul(ad.slice_axis(q, 2, off, off + dh), 1.0 / math.sqrt(dh))
             ks = ad.slice_axis(k, 2, off, off + dh)
             vs = ad.slice_axis(v, 2, off, off + dh)
-            scores = ad.add(ad.matmul(qs, ad.transpose(ks, (0, 2, 1))), bias)
+            scores = ad.matmul(qs, ad.transpose(ks, (0, 2, 1)))
+            if bias is not None:
+                scores = ad.add(scores, bias)
             outs.append(ad.matmul(ad.softmax(scores, axis=-1), vs))
             off += dh
-        cat = ad.concat(outs, axis=2)
-        return _linear(cat, p[f"{base}.w_o"], p[f"{base}.b_o"])
+        return self._proj(base, "o", ad.concat(outs, axis=2))
+
+    def _attention(self, base, q_in, kv_in, bias):
+        q = self._proj(base, "q", q_in)
+        k = self._proj(base, "k", kv_in)
+        v = self._proj(base, "v", kv_in)
+        return self._heads(base, q, k, v, bias)
 
     def _ln(self, base, x):
         return ad.layer_norm(x, self.params[f"{base}.g"], self.params[f"{base}.b"])
@@ -585,6 +675,40 @@ class TransformerModel(SeqModel):
                                          self._ln(f"{base}.ffn.ln", y))))
         y = self._ln("dec.ln", y)
         return _linear(y, self.params["out.w"], self.params["out.b"])
+
+    def init_state(self, memory) -> DecodeState:
+        b = memory.states.shape[0]
+        empty = Tensor(np.zeros((b, 0, self.config.d_model)))
+        cache = {}
+        for l in range(self.config.dec_layers):
+            base = f"dec.l{l}.cross"
+            cache[f"self_k{l}"] = cache[f"self_v{l}"] = empty
+            cache[f"cross_k{l}"] = self._proj(base, "k", memory.states)
+            cache[f"cross_v{l}"] = self._proj(base, "v", memory.states)
+        return DecodeState(0, bias=_pad_bias(memory.pad_mask), **cache)
+
+    def step(self, state: DecodeState, last_ids):
+        s = state.tensors
+        ids = np.reshape(last_ids, (len(last_ids), 1))
+        y = self._embed(self.params["tgt_embed"], ids, None, False, start=state.t)
+        cache = {}
+        for l in range(self.config.dec_layers):
+            base = f"dec.l{l}"
+            a = self._ln(f"{base}.self.ln", y)
+            q = self._proj(f"{base}.self", "q", a)
+            for kv in ("k", "v"):
+                cache[f"self_{kv}{l}"] = ad.concat(
+                    [s[f"self_{kv}{l}"], self._proj(f"{base}.self", kv, a)], axis=1)
+            y = ad.add(y, self._heads(f"{base}.self", q, cache[f"self_k{l}"],
+                                      cache[f"self_v{l}"], None))
+            a = self._ln(f"{base}.cross.ln", y)
+            q = self._proj(f"{base}.cross", "q", a)
+            y = ad.add(y, self._heads(f"{base}.cross", q, s[f"cross_k{l}"],
+                                      s[f"cross_v{l}"], s["bias"]))
+            y = ad.add(y, self._ffn(f"{base}.ffn", self._ln(f"{base}.ffn.ln", y)))
+        y = self._ln("dec.ln", y)
+        logits = _linear(y, self.params["out.w"], self.params["out.b"])
+        return logits.data[:, 0], state.advance(**cache)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,7 @@ class TestC05GradientChecks:
                 (lambda: ad.embedding(table, ids), [table]),
                 (lambda: ad.conv1d(x3, kernel, "same"), [x3, kernel]),
                 (lambda: ad.conv1d(x3, kernel, "causal"), [x3, kernel]),
+                (lambda: ad.conv1d(x3, kernel, "valid"), [x3, kernel]),
                 (lambda: ad.glu(rand(2, 3, 6)), None),
                 (lambda: ad.dropout(a, 0.4, RngState(trial), training=True), [a]),
                 (lambda: ad.concat([a, b], axis=0), [a, b]),

@@ -231,7 +231,17 @@ class TestConv:
         with pytest.raises(ShapeError):
             ad.conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((2, 2, 2))), "same")
 
-    @pytest.mark.parametrize("mode", ["same", "causal"])
+    def test_valid_is_causal_without_the_padded_outputs(self):
+        rng = RngState(27)
+        x, kernel = Tensor(rng.uniform((2, 6, 3))), Tensor(rng.uniform((3, 3, 4)))
+        valid = ad.conv1d(x, kernel, pad_mode="valid")
+        assert valid.shape == (2, 4, 4)
+        np.testing.assert_allclose(valid.data, ad.conv1d(x, kernel, "causal").data[:, 2:],
+                                   rtol=0, atol=1e-12)
+        with pytest.raises(ShapeError):
+            ad.conv1d(Tensor(np.zeros((1, 2, 3))), kernel, "valid")
+
+    @pytest.mark.parametrize("mode", ["same", "causal", "valid"])
     def test_grads(self, mode):
         rng = RngState(26)
         x, kernel = rand(rng, 2, 5, 3), rand(rng, 3, 3, 4)

@@ -167,11 +167,13 @@ class TestForwardContracts:
         with pytest.raises(ShapeError):
             model.decode_step(memory, np.array([[4, 5]]))
 
-    def test_bilstm_raw_memory_width(self):
+    def test_bilstm_memory_is_projected_to_decoder_width(self):
+        # both directions' states and final states are projected from 2H to H
         model = tiny_model("bilstm")
-        memory = model.encode(np.array([[4, 5, 6]]))
-        assert memory.states_raw.shape == (1, 3, 2 * model.config.hidden_dim)
-        assert memory.states.shape == (1, 3, model.config.hidden_dim)
+        memory = model.encode(np.array([[4, 5, 6], [7, 8, PAD_ID]]))
+        hd = model.config.hidden_dim
+        assert memory.states.shape == (2, 3, hd)
+        assert memory.h0.shape == (2, hd) and memory.c0.shape == (2, hd)
 
     def test_conv_zeroed_layers_are_identity(self):
         # with all conv kernels and biases zeroed, GLU gates output zero and
