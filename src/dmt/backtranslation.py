@@ -5,6 +5,10 @@ parallel data, and run the paired baseline-vs-augmented experiment.
 Pseudo pairs keep the authentic monolingual sentence as the target side,
 verbatim; the synthetic side is the reverse model's output. Every pair is
 traceable to its monolingual line index and the reverse checkpoint.
+
+``backtranslate`` is the one back-translation path, called by
+``bt_experiment`` and by the experiment runner; ``save_pseudo`` and
+``load_pseudo`` are the one writer and reader of pseudo-corpus files.
 """
 
 from __future__ import annotations
@@ -15,15 +19,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .autodiff import RngState, fan_seed
-from .corpus import MonolingualCorpus, ParallelCorpus, SentencePair
+from .corpus import (LanguageTag, MonolingualCorpus, ParallelCorpus, SentencePair,
+                     load_parallel, save_parallel)
 from .decoding import DecodeConfig, translate_lines
 from .errors import CorpusError
-from .models import config_for_arch
+from .models import build_model, config_for_arch
 from .pipeline import PipelineContext, build_context, encode_corpus
 from .training import TrainConfig, restore_model, snapshot, train
 
-__all__ = ["Provenance", "PseudoParallelCorpus", "BtOutcome",
-           "generate_pseudo_parallel", "mix", "bt_experiment"]
+__all__ = ["Provenance", "PseudoParallelCorpus", "BtOutcome", "save_pseudo",
+           "load_pseudo", "generate_pseudo_parallel", "mix", "backtranslate",
+           "bt_experiment"]
 
 
 def _decode_config_hash(config: DecodeConfig) -> str:
@@ -46,6 +52,21 @@ class PseudoParallelCorpus(ParallelCorpus):
         return [f"{i}\t{self.provenance.checkpoint_fingerprint}"
                 f"\t{self.provenance.decode_config_hash}"
                 for i in self.mono_indices]
+
+
+def save_pseudo(pseudo: PseudoParallelCorpus, prefix):
+    """Write `prefix`.src, `prefix`.tgt and the provenance sidecar
+    `prefix`.provenance.tsv, one row per pseudo pair."""
+    save_parallel(pseudo, f"{prefix}.src", f"{prefix}.tgt")
+    Path(f"{prefix}.provenance.tsv").write_text(
+        "".join(ln + "\n" for ln in pseudo.sidecar_lines()), encoding="utf-8")
+
+
+def load_pseudo(prefix, src_lang: LanguageTag, tgt_lang: LanguageTag) -> ParallelCorpus:
+    """Read `prefix`.src/.tgt back as pairs flagged synthetic."""
+    raw = load_parallel(f"{prefix}.src", f"{prefix}.tgt", src_lang, tgt_lang)
+    return ParallelCorpus([SentencePair(p.source, p.target, True) for p in raw.pairs],
+                          src_lang, tgt_lang)
 
 
 def generate_pseudo_parallel(reverse_model, mono: MonolingualCorpus,
@@ -119,19 +140,38 @@ class BtOutcome:
 
 
 def _train_system(corpus: ParallelCorpus, dev: ParallelCorpus,
-                  train_cfg: TrainConfig, model_cfg, bpe_merges: int,
-                  seed: int, run_dir=None):
-    """Build pipeline from `corpus`, train, return (model, ctx, report)."""
-    ctx = build_context(corpus, num_merges=bpe_merges)
+                  train_cfg: TrainConfig, model_cfg, model_seed: int,
+                  run_dir=None, **context_options):
+    """Build the pipeline from `corpus` (`context_options` go to
+    build_context) and train a model seeded with `model_seed` under
+    `train_cfg`; returns (ctx, best checkpoint, report)."""
+    ctx = build_context(corpus, **context_options)
     train_data = encode_corpus(ctx, corpus)
     dev_data = encode_corpus(ctx, dev)
-    from .models import build_model
-    model = build_model(model_cfg, ctx.src_vocab, ctx.tgt_vocab,
-                        seed=fan_seed(seed, "bt-model"))
-    cfg = dataclasses.replace(train_cfg, seed=fan_seed(seed, "bt-train"))
-    ckpt, report = train(model, train_data, dev_data, cfg, run_dir=run_dir)
-    best_model = restore_model(ckpt, ctx.src_vocab, ctx.tgt_vocab)
-    return best_model, ctx, ckpt, report
+    model = build_model(model_cfg, ctx.src_vocab, ctx.tgt_vocab, seed=model_seed)
+    ckpt, report = train(model, train_data, dev_data, train_cfg, run_dir=run_dir)
+    return ctx, ckpt, report
+
+
+def backtranslate(real: ParallelCorpus, dev: ParallelCorpus,
+                  mono: MonolingualCorpus, train_cfg: TrainConfig, model_cfg,
+                  model_seed: int, decode_config: DecodeConfig, out_dir=None,
+                  **context_options):
+    """Train the reverse system on the swapped corpora (see _train_system)
+    and back-translate `mono` with its best checkpoint; with `out_dir`,
+    keep the reverse run in out_dir/reverse and save out_dir/pseudo.*.
+    Returns (pseudo corpus, reverse report)."""
+    out_dir = None if out_dir is None else Path(out_dir)
+    ctx, ckpt, report = _train_system(
+        real.swapped(), dev.swapped(), train_cfg, model_cfg, model_seed,
+        run_dir=None if out_dir is None else out_dir / "reverse",
+        **context_options)
+    model = restore_model(ckpt, ctx.src_vocab, ctx.tgt_vocab)
+    pseudo = generate_pseudo_parallel(model, mono, ctx, decode_config,
+                                      checkpoint_fingerprint=ckpt.fingerprint())
+    if out_dir is not None:
+        save_pseudo(pseudo, out_dir / "pseudo")
+    return pseudo, report
 
 
 def bt_experiment(real: ParallelCorpus, mono: MonolingualCorpus,
@@ -155,32 +195,30 @@ def bt_experiment(real: ParallelCorpus, mono: MonolingualCorpus,
         overrides.setdefault("dropout", cfg.dropout)
         return config_for_arch(cfg.arch, **overrides)
 
-    # 1. reverse system (target -> source)
-    reverse_model, reverse_ctx, reverse_ckpt, reverse_report = _train_system(
-        real.swapped(), dev.swapped(), reverse_cfg, model_cfg_for(reverse_cfg),
-        bpe_merges, fan_seed(seed, "reverse"),
-        run_dir=None if run_dir is None else run_dir / "reverse")
+    def seeded(cfg: TrainConfig, system_seed: int):
+        return (dataclasses.replace(cfg, seed=fan_seed(system_seed, "bt-train")),
+                model_cfg_for(cfg), fan_seed(system_seed, "bt-model"))
 
-    # 2. pseudo-parallel data
-    pseudo = generate_pseudo_parallel(reverse_model, mono, reverse_ctx,
-                                      decode_config,
-                                      checkpoint_fingerprint=reverse_ckpt.fingerprint())
+    # 1-2. reverse system (target -> source) and the pseudo-parallel data
+    pseudo, reverse_report = backtranslate(
+        real, dev, mono, *seeded(reverse_cfg, fan_seed(seed, "reverse")),
+        decode_config, out_dir=run_dir, num_merges=bpe_merges)
 
     # 3. baseline and augmented forward systems; both share the forward
     # seed so the comparison is paired (only the data differs)
-    forward_seed = fan_seed(seed, "forward")
-    _, _, base_ckpt, base_report = _train_system(
-        real, dev, forward_cfg, model_cfg_for(forward_cfg), bpe_merges,
-        forward_seed, run_dir=None if run_dir is None else run_dir / "baseline")
+    forward = seeded(forward_cfg, fan_seed(seed, "forward"))
+    _, base_ckpt, base_report = _train_system(
+        real, dev, *forward, num_merges=bpe_merges,
+        run_dir=None if run_dir is None else run_dir / "baseline")
     if len(pseudo) == 0 and upsample_real == 1:
         # nothing to augment with: the runs would train on the same corpus
         aug_ckpt, aug_report = base_ckpt, base_report
     else:
         mixed = mix(real, pseudo, upsample_real=upsample_real,
                     seed=fan_seed(seed, "mix"))
-        _, _, aug_ckpt, aug_report = _train_system(
-            mixed, dev, forward_cfg, model_cfg_for(forward_cfg), bpe_merges,
-            forward_seed, run_dir=None if run_dir is None else run_dir / "augmented")
+        _, aug_ckpt, aug_report = _train_system(
+            mixed, dev, *forward, num_merges=bpe_merges,
+            run_dir=None if run_dir is None else run_dir / "augmented")
 
     outcome = BtOutcome(
         baseline_bleu=base_ckpt.dev_bleu, augmented_bleu=aug_ckpt.dev_bleu,
@@ -189,11 +227,6 @@ def bt_experiment(real: ParallelCorpus, mono: MonolingualCorpus,
         n_dropped=pseudo.provenance.n_dropped, provenance=pseudo.provenance)
 
     if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        from .corpus import save_parallel
-        save_parallel(pseudo, run_dir / "pseudo.src", run_dir / "pseudo.tgt")
-        (run_dir / "pseudo.provenance.tsv").write_text(
-            "".join(ln + "\n" for ln in pseudo.sidecar_lines()), encoding="utf-8")
         (run_dir / "comparison.tsv").write_text(
             "system\tdev_bleu\n"
             f"baseline\t{outcome.baseline_bleu:.4f}\n"

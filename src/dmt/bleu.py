@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import textnorm
+from .corpus import read_lines
 from .errors import ScoringError
 from .subword import undo_bpe
 
@@ -161,8 +162,8 @@ def score_files(cand_path, ref_path, config: BleuConfig = DEFAULT_CONFIG,
                 detranslit_script=None, report_path=None) -> BleuReport:
     """Score two line-aligned files; optional preprocessing mirrors the
     generation pipeline so either scoring surface is reproducible."""
-    cand_lines = Path(cand_path).read_text(encoding="utf-8").splitlines()
-    ref_lines = Path(ref_path).read_text(encoding="utf-8").splitlines()
+    cand_lines = read_lines(cand_path)
+    ref_lines = read_lines(ref_path)
     if len(cand_lines) != len(ref_lines):
         raise ScoringError(
             f"line-count mismatch: {cand_path} has {len(cand_lines)}, "

@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 from . import __version__, textnorm
-from .backtranslation import generate_pseudo_parallel, mix
+from .backtranslation import generate_pseudo_parallel, load_pseudo, mix, save_pseudo
 from .bleu import score_files
-from .corpus import (LanguageTag, ParallelCorpus, SentencePair, load_monolingual,
-                     load_parallel, save_parallel, split, stats)
+from .corpus import (LanguageTag, load_monolingual, load_parallel, save_parallel,
+                     split, stats)
 from .decoding import DecodeConfig, translate_lines
 from .errors import DmtError
 from .experiment import ExperimentConfig, aggregate_report, run_experiment
@@ -198,9 +198,7 @@ def cmd_backtranslate(args):
     pseudo = generate_pseudo_parallel(model, mono, ctx, _decode_config(args),
                                       checkpoint_fingerprint=ckpt.fingerprint())
     prefix = Path(args.out)
-    save_parallel(pseudo, f"{prefix}.src", f"{prefix}.tgt")
-    Path(f"{prefix}.provenance.tsv").write_text(
-        "".join(ln + "\n" for ln in pseudo.sidecar_lines()), encoding="utf-8")
+    save_pseudo(pseudo, prefix)
     print(f"{len(pseudo)} pseudo pairs ({pseudo.provenance.n_dropped} dropped) "
           f"-> {prefix}.src/.tgt", file=sys.stderr)
 
@@ -208,10 +206,7 @@ def cmd_backtranslate(args):
 def cmd_mix(args):
     src_lang, tgt_lang = LanguageTag(args.src_lang), LanguageTag(args.tgt_lang)
     real = load_parallel(f"{args.real}.src", f"{args.real}.tgt", src_lang, tgt_lang)
-    pseudo_raw = load_parallel(f"{args.pseudo}.src", f"{args.pseudo}.tgt",
-                               src_lang, tgt_lang)
-    pseudo = ParallelCorpus([SentencePair(p.source, p.target, True)
-                             for p in pseudo_raw.pairs], src_lang, tgt_lang)
+    pseudo = load_pseudo(args.pseudo, src_lang, tgt_lang)
     mixed = mix(real, pseudo, upsample_real=args.upsample_real, seed=args.seed)
     save_parallel(mixed, f"{args.out}.src", f"{args.out}.tgt")
     print(f"{len(mixed)} pairs -> {args.out}.src/.tgt", file=sys.stderr)

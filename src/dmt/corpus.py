@@ -16,7 +16,7 @@ from .errors import CorpusError
 __all__ = [
     "LanguageTag", "SentencePair", "ParallelCorpus", "MonolingualCorpus",
     "CorpusStats", "register_language", "load_parallel", "load_monolingual",
-    "save_parallel", "save_monolingual", "split", "stats",
+    "save_parallel", "read_lines", "split", "stats",
 ]
 
 _KNOWN_TAGS = {"kn", "ml", "ta", "te", "tu", "sn"}
@@ -112,7 +112,9 @@ class CorpusStats:
         return "\n".join(f"{k}\t{v}" for k, v in rows)
 
 
-def _read_lines(path) -> list:
+def read_lines(path) -> list:
+    """The lines of a UTF-8 corpus file, split on LF only (other Unicode
+    line breaks such as \\f or U+2028 stay inside their line)."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
@@ -132,8 +134,8 @@ def load_parallel(src_path, tgt_path, src_lang: LanguageTag,
     Lines blank on both sides are dropped silently; a line blank on one
     side only rejects the pair and counts it in n_rejected.
     """
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"line-count mismatch: {src_path} has {len(src_lines)} lines, "
@@ -152,7 +154,7 @@ def load_parallel(src_path, tgt_path, src_lang: LanguageTag,
 
 
 def load_monolingual(path, lang: LanguageTag) -> MonolingualCorpus:
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    lines = [ln for ln in read_lines(path) if ln.strip()]
     return MonolingualCorpus(lines, lang)
 
 
@@ -161,11 +163,6 @@ def save_parallel(corpus: ParallelCorpus, src_path, tgt_path):
         "".join(p.source + "\n" for p in corpus.pairs), encoding="utf-8")
     Path(tgt_path).write_text(
         "".join(p.target + "\n" for p in corpus.pairs), encoding="utf-8")
-
-
-def save_monolingual(corpus: MonolingualCorpus, path):
-    Path(path).write_text(
-        "".join(s + "\n" for s in corpus.sentences), encoding="utf-8")
 
 
 def split(corpus: ParallelCorpus, train_n: int, dev_n: int, test_n: int,

@@ -5,7 +5,9 @@ Search drives a model through the incremental contract of ``models``:
 ``init_state(memory)``, then ``step(state, last_ids)`` once per output
 position, with ``state.select(rows)`` carrying beam parents forward. A
 model that implements only ``encode``/``decode_step`` is wrapped in
-RecomputeDecoder, which re-runs the whole prefix on every step.
+RecomputeDecoder, which re-runs the whole prefix on every step. Greedy
+decoding of many sentences (``translate_lines``, dev BLEU in training)
+goes through ``greedy_decode_many``, GREEDY_CHUNK sentences per batch.
 
 Hypothesis ordering is deterministic everywhere: score ties break to
 higher raw log-probability, then shorter output, then lexicographically
@@ -24,7 +26,10 @@ from .pipeline import PipelineContext
 from .subword import BOS_ID, EOS_ID, PAD_ID
 
 __all__ = ["DecodeConfig", "Hypothesis", "RecomputeDecoder", "greedy_decode",
-           "greedy_decode_batch", "beam_decode", "translate", "translate_lines"]
+           "greedy_decode_batch", "greedy_decode_many", "beam_decode",
+           "translate", "translate_lines"]
+
+GREEDY_CHUNK = 64  # sentences per greedy_decode_batch call
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,20 @@ def greedy_decode_batch(model, src_batch, src_pad_mask=None,
             for s, lp in zip(ids, logprob)]
 
 
+def greedy_decode_many(model, id_lists, config: DecodeConfig = None) -> list:
+    """Greedy decoding of many id lists, GREEDY_CHUNK at a time, each chunk
+    padded to its longest row; one Hypothesis per list, in order."""
+    hyps = []
+    for lo in range(0, len(id_lists), GREEDY_CHUNK):
+        chunk = id_lists[lo:lo + GREEDY_CHUNK]
+        batch = np.full((len(chunk), max(len(ids) for ids in chunk)), PAD_ID,
+                        dtype=np.int64)
+        for r, ids in enumerate(chunk):
+            batch[r, :len(ids)] = ids
+        hyps += greedy_decode_batch(model, batch, config=config)
+    return hyps
+
+
 def greedy_decode(model, src_ids, config: DecodeConfig = None) -> Hypothesis:
     """At each step append the argmax token (ties to the lowest id);
     stop at EOS or the length cap."""
@@ -242,7 +261,7 @@ def translate(model, text: str, ctx: PipelineContext,
 
 
 def translate_lines(model, lines, ctx: PipelineContext,
-                    config: DecodeConfig = None, batch_size: int = 64) -> list:
+                    config: DecodeConfig = None) -> list:
     """Translate many lines; greedy configs run batched for speed."""
     config = config or DecodeConfig()
     ctx.check_model(model)
@@ -250,18 +269,12 @@ def translate_lines(model, lines, ctx: PipelineContext,
         return [translate(model, ln, ctx, config) for ln in lines]
 
     out = [""] * len(lines)
-    todo = []
+    rows, todo = [], []
     for i, ln in enumerate(lines):
         subwords = ctx.source_subwords(ln)
         if subwords:  # encode() appends EOS, so test emptiness before it
-            todo.append((i, ctx.src_vocab.encode(subwords)))
-    for lo in range(0, len(todo), batch_size):
-        chunk = todo[lo:lo + batch_size]
-        width = max(len(ids) for _, ids in chunk)
-        batch = np.full((len(chunk), width), PAD_ID, dtype=np.int64)
-        for r, (_, ids) in enumerate(chunk):
-            batch[r, :len(ids)] = ids
-        hyps = greedy_decode_batch(model, batch, config=config)
-        for (i, _), hyp in zip(chunk, hyps):
-            out[i] = ctx.target_text(list(hyp.output_ids))
+            rows.append(i)
+            todo.append(ctx.src_vocab.encode(subwords))
+    for i, hyp in zip(rows, greedy_decode_many(model, todo, config)):
+        out[i] = ctx.target_text(list(hyp.output_ids))
     return out

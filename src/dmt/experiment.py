@@ -2,7 +2,12 @@
 stage graph with persisted intermediates, and idempotent resumption.
 
 Every training sentence, real or back-translated, flows through the same
-stage order: normalize, pre-tokenize, transliterate, BPE, binarize.
+stage order: normalize, pre-tokenize, transliterate (the one text chain,
+``pipeline.prep_tokens``), BPE, binarize. With back-translation on, the
+backtranslate stage runs the one back-translation path,
+``backtranslation.backtranslate``, and the mix stage reads its pseudo
+files back with ``backtranslation.load_pseudo``. Every file is read with
+``corpus.read_lines``, which splits on LF only.
 Completed stages are stamped and skipped on rerun; a rerun of a finished
 experiment performs no stage work.
 """
@@ -18,14 +23,14 @@ from pathlib import Path
 
 from . import textnorm
 from .autodiff import fan_seed
-from .backtranslation import generate_pseudo_parallel, mix
+from .backtranslation import backtranslate, load_pseudo, mix
 from .bleu import score_files
-from .corpus import (LanguageTag, ParallelCorpus, SentencePair, load_monolingual,
-                     load_parallel, save_parallel)
+from .corpus import (LanguageTag, load_monolingual, load_parallel, read_lines,
+                     save_parallel)
 from .decoding import DecodeConfig, translate_lines
 from .errors import ConfigError, ExperimentError
 from .models import build_model, config_for_arch
-from .pipeline import PipelineContext, build_context
+from .pipeline import PipelineContext, prep_tokens
 from .subword import BpeModel, Vocabulary, apply_bpe, build_vocab, learn_bpe
 from .training import PRESETS, TrainConfig, load_checkpoint, preset, restore_model, train
 
@@ -201,12 +206,8 @@ def _write_lines(path: Path, lines):
     path.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
 
 
-def _read_lines(path: Path):
-    return path.read_text(encoding="utf-8").splitlines()
-
-
 def _read_ids(path: Path):
-    return [[int(tok) for tok in ln.split()] for ln in _read_lines(path)]
+    return [[int(tok) for tok in ln.split()] for ln in read_lines(path)]
 
 
 class _Runner:
@@ -248,58 +249,29 @@ class _Runner:
         real = load_parallel(cfg.train_src, cfg.train_tgt, src_lang, tgt_lang)
         dev = load_parallel(cfg.dev_src, cfg.dev_tgt, src_lang, tgt_lang)
         mono = load_monolingual(cfg.mono, tgt_lang)
-        bt_dir = self.dir / "bt"
-        bt_dir.mkdir(exist_ok=True)
-
-        reverse_ctx = build_context(real.swapped(), num_merges=cfg.bpe_merges,
-                                    min_count=cfg.min_count, joint=cfg.joint_bpe,
-                                    transliterate=cfg.transliterate,
-                                    keep_joiners=cfg.keep_joiners)
-        from .pipeline import encode_corpus
-        train_data = encode_corpus(reverse_ctx, real.swapped())
-        dev_data = encode_corpus(reverse_ctx, dev.swapped())
-        tc = self.cfg.train_config()
+        tc = cfg.train_config()
         tc.seed = fan_seed(cfg.seed, "reverse-train")
-        model = build_model(cfg.model_config(tc.dropout), reverse_ctx.src_vocab,
-                            reverse_ctx.tgt_vocab, seed=fan_seed(cfg.seed, "reverse-model"))
         self.log(f"backtranslate: training reverse model "
-                 f"({cfg.tgt_lang}->{cfg.src_lang}, {len(train_data)} pairs)")
-        ckpt, _ = train(model, train_data, dev_data, tc, run_dir=bt_dir / "reverse")
-        reverse_model = restore_model(ckpt, reverse_ctx.src_vocab,
-                                      reverse_ctx.tgt_vocab)
-        pseudo = generate_pseudo_parallel(reverse_model, mono, reverse_ctx,
-                                          self.cfg.decode_config(),
-                                          checkpoint_fingerprint=ckpt.fingerprint())
+                 f"({cfg.tgt_lang}->{cfg.src_lang}, {len(real)} pairs)")
+        pseudo, _ = backtranslate(
+            real, dev, mono, tc, cfg.model_config(tc.dropout),
+            fan_seed(cfg.seed, "reverse-model"), cfg.decode_config(),
+            out_dir=self.dir / "bt", num_merges=cfg.bpe_merges,
+            min_count=cfg.min_count, joint=cfg.joint_bpe,
+            transliterate=cfg.transliterate, keep_joiners=cfg.keep_joiners)
         self.log(f"backtranslate: {len(pseudo)} pseudo pairs "
                  f"({pseudo.provenance.n_dropped} dropped)")
-        save_parallel(pseudo, bt_dir / "pseudo.src", bt_dir / "pseudo.tgt")
-        _write_lines(bt_dir / "pseudo.provenance.tsv", pseudo.sidecar_lines())
 
     def do_mix(self):
         cfg = self.cfg
         src_lang, tgt_lang = LanguageTag(cfg.src_lang), LanguageTag(cfg.tgt_lang)
         real = load_parallel(cfg.train_src, cfg.train_tgt, src_lang, tgt_lang)
         bt_dir = self.dir / "bt"
-        pseudo_raw = load_parallel(bt_dir / "pseudo.src", bt_dir / "pseudo.tgt",
-                                   src_lang, tgt_lang)
-        pseudo = ParallelCorpus(
-            [SentencePair(p.source, p.target, True) for p in pseudo_raw.pairs],
-            src_lang, tgt_lang)
+        pseudo = load_pseudo(bt_dir / "pseudo", src_lang, tgt_lang)
         mixed = mix(real, pseudo, upsample_real=cfg.upsample_real,
                     seed=fan_seed(cfg.seed, "mix"))
         self.log(f"mix: {len(real)} real + {len(pseudo)} pseudo -> {len(mixed)}")
         save_parallel(mixed, bt_dir / "augmented.src", bt_dir / "augmented.tgt")
-
-    def _prep_file(self, in_path, out_path, script):
-        lines = []
-        for raw in _read_lines(Path(in_path)):
-            norm = textnorm.normalize(raw, keep_joiners=self.cfg.keep_joiners)
-            tokens = list(textnorm.tokenize(norm).tokens)
-            if self.cfg.transliterate:
-                tokens = [textnorm.transliterate(t, script, textnorm.DEVANAGARI)
-                          for t in tokens]
-            lines.append(" ".join(tokens))
-        _write_lines(out_path, lines)
 
     def do_prep(self):
         cfg = self.cfg
@@ -313,21 +285,23 @@ class _Runner:
         if cfg.test_src:
             splits.append(("test", cfg.test_src, cfg.test_tgt))
         for name, src_path, tgt_path in splits:
-            n_src = len(_read_lines(Path(src_path)))
-            n_tgt = len(_read_lines(Path(tgt_path)))
-            if n_src != n_tgt:
+            src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
+            if len(src_lines) != len(tgt_lines):
                 raise ExperimentError(
                     f"{name} corpus sides are misaligned: {src_path} has "
-                    f"{n_src} lines, {tgt_path} has {n_tgt}")
-            self._prep_file(src_path, prep / f"{name}.src", src_script)
-            self._prep_file(tgt_path, prep / f"{name}.tgt", tgt_script)
+                    f"{len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}")
+            for side, lines, script in (("src", src_lines, src_script),
+                                        ("tgt", tgt_lines, tgt_script)):
+                _write_lines(prep / f"{name}.{side}", [
+                    " ".join(prep_tokens(ln, script, cfg.transliterate,
+                                         cfg.keep_joiners)) for ln in lines])
 
     def do_bpe(self):
         prep = self.dir / "prep"
         out = self.dir / "bpe"
         out.mkdir(exist_ok=True)
-        src_tok = [ln.split() for ln in _read_lines(prep / "train.src")]
-        tgt_tok = [ln.split() for ln in _read_lines(prep / "train.tgt")]
+        src_tok = [ln.split() for ln in read_lines(prep / "train.src")]
+        tgt_tok = [ln.split() for ln in read_lines(prep / "train.tgt")]
         if self.cfg.joint_bpe:
             model = learn_bpe(src_tok + tgt_tok, self.cfg.bpe_merges)
             model.save(out / "src.model")
@@ -343,7 +317,7 @@ class _Runner:
         for side in ("src", "tgt"):
             model = BpeModel.load(bpe_dir / f"{side}.model")
             applied = [apply_bpe(model, ln.split())
-                       for ln in _read_lines(prep / f"train.{side}")]
+                       for ln in read_lines(prep / f"train.{side}")]
             vocab = build_vocab(applied, min_count=self.cfg.min_count)
             vocab.save(out / f"{side}.vocab")
 
@@ -358,7 +332,7 @@ class _Runner:
         splits = ["train", "dev"] + (["test"] if self.cfg.test_src else [])
         for split_name in splits:
             for side in ("src", "tgt"):
-                lines = _read_lines(prep / f"{split_name}.{side}")
+                lines = read_lines(prep / f"{split_name}.{side}")
                 ids = [vocabs[side].encode(apply_bpe(models[side], ln.split()))
                        for ln in lines]
                 _write_lines(out / f"{split_name}.{side}.ids",
@@ -401,7 +375,7 @@ class _Runner:
         model = restore_model(ckpt, ctx.src_vocab, ctx.tgt_vocab)
         out = self.dir / "outputs"
         out.mkdir(exist_ok=True)
-        lines = _read_lines(Path(self.cfg.test_src))
+        lines = read_lines(self.cfg.test_src)
         hyps = translate_lines(model, lines, ctx, self.cfg.decode_config())
         _write_lines(out / "test.hyp", hyps)
 
@@ -417,7 +391,7 @@ class _Runner:
                 _write_lines(out / name,
                              [textnorm.transliterate(ln, tgt_script,
                                                      textnorm.DEVANAGARI)
-                              for ln in _read_lines(Path(in_path))])
+                              for ln in read_lines(in_path)])
             hyp, ref = out / "test.hyp.dev", out / "test.ref.dev"
         report = score_files(hyp, ref, report_path=out / "test.score.tsv")
         (out / "score.meta").write_text(f"surface={surface}\n", encoding="utf-8")
@@ -479,7 +453,7 @@ def aggregate_report(runs_dir=None, fmt: str = "tsv") -> str:
     cells = {}
     pairs, systems = [], []
     for results in sorted(root.glob("*/results.tsv")):
-        for line in _read_lines(results)[1:]:
+        for line in read_lines(results)[1:]:
             system, pair, score = line.split("\t")
             if pair not in pairs:
                 pairs.append(pair)

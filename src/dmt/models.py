@@ -149,10 +149,6 @@ class EncoderMemory:
     c0: Tensor = None
     fully_masked: np.ndarray = None  # [B]; True where every position is PAD
 
-    @property
-    def any_fully_masked(self) -> bool:
-        return bool(self.fully_masked is not None and self.fully_masked.any())
-
     def tile(self, k: int) -> "EncoderMemory":
         """Repeat each batch row k times (for beam expansion); read-only."""
         def rep_t(t):

@@ -1,6 +1,10 @@
 """Text <-> id plumbing shared by decoding, back-translation, and the
 experiment runner: normalize, tokenize, transliterate to Devanagari,
 BPE, and vocabulary encoding, plus the inverse chain.
+
+``prep_tokens`` is the one text chain (normalize -> tokenize ->
+transliterate); the pipeline context, ``build_context`` and the runner's
+prep stage all call it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,19 @@ from .errors import FingerprintError
 from .subword import (BpeModel, Vocabulary, apply_bpe, build_vocab, learn_bpe,
                       undo_bpe)
 
-__all__ = ["PipelineContext", "build_context", "encode_corpus"]
+__all__ = ["PipelineContext", "prep_tokens", "build_context", "encode_corpus"]
+
+
+def prep_tokens(text: str, script, transliterate: bool = True,
+                keep_joiners: bool = False) -> list:
+    """Normalize, tokenize and (optionally) transliterate `text` from
+    `script` to Devanagari; returns the tokens."""
+    norm = textnorm.normalize(text, keep_joiners=keep_joiners)
+    tokens = list(textnorm.tokenize(norm).tokens)
+    if transliterate:
+        tokens = [textnorm.transliterate(t, script, textnorm.DEVANAGARI)
+                  for t in tokens]
+    return tokens
 
 
 @dataclass
@@ -44,19 +60,13 @@ class PipelineContext:
 
     # -- text -> subwords -> ids
 
-    def _prep_tokens(self, text: str, script) -> list:
-        norm = textnorm.normalize(text, keep_joiners=self.keep_joiners)
-        tokens = list(textnorm.tokenize(norm).tokens)
-        if self.transliterate:
-            tokens = [textnorm.transliterate(t, script, textnorm.DEVANAGARI)
-                      for t in tokens]
-        return tokens
-
     def source_subwords(self, text: str) -> list:
-        return apply_bpe(self.bpe_src, self._prep_tokens(text, self.src_script))
+        return apply_bpe(self.bpe_src, prep_tokens(
+            text, self.src_script, self.transliterate, self.keep_joiners))
 
     def target_subwords(self, text: str) -> list:
-        return apply_bpe(self.bpe_tgt, self._prep_tokens(text, self.tgt_script))
+        return apply_bpe(self.bpe_tgt, prep_tokens(
+            text, self.tgt_script, self.transliterate, self.keep_joiners))
 
     def source_ids(self, text: str) -> list:
         return self.src_vocab.encode(self.source_subwords(text))
@@ -93,17 +103,10 @@ def build_context(corpus: ParallelCorpus, num_merges: int = 8000,
     """
     src_script = textnorm.script_for_lang(corpus.src_lang.code)
     tgt_script = textnorm.script_for_lang(corpus.tgt_lang.code)
-
-    def prep(text, script):
-        norm = textnorm.normalize(text, keep_joiners=keep_joiners)
-        tokens = list(textnorm.tokenize(norm).tokens)
-        if transliterate:
-            tokens = [textnorm.transliterate(t, script, textnorm.DEVANAGARI)
-                      for t in tokens]
-        return tokens
-
-    src_tok = [prep(p.source, src_script) for p in corpus.pairs]
-    tgt_tok = [prep(p.target, tgt_script) for p in corpus.pairs]
+    src_tok = [prep_tokens(p.source, src_script, transliterate, keep_joiners)
+               for p in corpus.pairs]
+    tgt_tok = [prep_tokens(p.target, tgt_script, transliterate, keep_joiners)
+               for p in corpus.pairs]
 
     if joint:
         model = learn_bpe(src_tok + tgt_tok, num_merges)

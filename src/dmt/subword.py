@@ -20,7 +20,7 @@ from .textnorm import TokenizedSentence
 
 __all__ = [
     "BpeModel", "Vocabulary", "PAD_ID", "UNK_ID", "BOS_ID", "EOS_ID",
-    "learn_bpe", "apply_bpe", "undo_bpe", "build_vocab", "encode", "decode",
+    "learn_bpe", "apply_bpe", "undo_bpe", "build_vocab",
 ]
 
 EOW = "</w>"
@@ -224,10 +224,6 @@ class Vocabulary:
             raise VocabError("corpus token collides with a special token")
         return cls(id_of, token_of, {t: counts[t] for t in ranked})
 
-    @classmethod
-    def from_tokens(cls, tokens) -> "Vocabulary":
-        return cls.from_counts(Counter(tokens))
-
     def __len__(self):
         return len(self.token_of)
 
@@ -285,11 +281,3 @@ def build_vocab(corpus, min_count: int = 1, max_size: int = None) -> Vocabulary:
     for sentence in corpus:
         counts.update(_tokens_of(sentence))
     return Vocabulary.from_counts(counts, min_count=min_count, max_size=max_size)
-
-
-def encode(vocab: Vocabulary, subwords) -> list:
-    return vocab.encode(subwords)
-
-
-def decode(vocab: Vocabulary, ids) -> list:
-    return vocab.decode(ids)

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RngState, fan_seed
 from .bleu import BleuConfig, score_corpus
-from .decoding import DecodeConfig, greedy_decode_batch
+from .decoding import greedy_decode_many
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      FingerprintError)
 from .models import ARCH_CONFIGS, build_model, label_smoothed_loss
@@ -482,24 +482,14 @@ def _score_tokens(vocab, ids) -> list:
     return detokenize(undo_bpe(vocab.decode(list(ids)))).split()
 
 
-def evaluate_bleu(model, data, tgt_vocab, decode_config: DecodeConfig = None,
-                  chunk: int = 64) -> float:
+def evaluate_bleu(model, data, tgt_vocab) -> float:
     """Greedy-decode the dev sources and average sentence BLEU against the
     dev targets on the un-BPE'd, detokenized surface."""
     if not data:
         return 0.0
-    decode_config = decode_config or DecodeConfig(beam=1)
-    cands, refs = [], []
-    for lo in range(0, len(data), chunk):
-        part = data[lo:lo + chunk]
-        width = max(len(p[0]) for p in part)
-        src = np.full((len(part), width), PAD_ID, dtype=np.int64)
-        for r, (s, _) in enumerate(part):
-            src[r, :len(s)] = s
-        hyps = greedy_decode_batch(model, src, config=decode_config)
-        for (s, t), hyp in zip(part, hyps):
-            cands.append(_score_tokens(tgt_vocab, hyp.output_ids))
-            refs.append([_score_tokens(tgt_vocab, t)])
+    hyps = greedy_decode_many(model, [s for s, _ in data])
+    cands = [_score_tokens(tgt_vocab, hyp.output_ids) for hyp in hyps]
+    refs = [[_score_tokens(tgt_vocab, t)] for _, t in data]
     return score_corpus(cands, refs, BleuConfig()).mean
 
 

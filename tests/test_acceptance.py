@@ -23,7 +23,7 @@ from dmt.corpus import (LanguageTag, MonolingualCorpus, ParallelCorpus,
 from dmt.decoding import DecodeConfig, beam_decode, greedy_decode
 from dmt.experiment import run_experiment
 from dmt.models import build_model, config_for_arch, label_smoothed_loss
-from dmt.subword import (BOS_ID, EOS_ID, PAD_ID, Vocabulary, apply_bpe,
+from dmt.subword import (BOS_ID, EOS_ID, PAD_ID, apply_bpe, build_vocab,
                          learn_bpe, undo_bpe)
 from dmt.training import TrainConfig, restore_model, save_checkpoint, snapshot, train
 from dmt.training import load_checkpoint
@@ -275,10 +275,10 @@ class TestC05GradientChecks:
             for trial in range(10):
                 vs = int(rng.uniform((), 8, 14))
                 vt = int(rng.uniform((), 8, 14))
-                src_vocab = Vocabulary.from_tokens([f"s{i}" for i in range(vs - 4)
-                                                    for _ in range(2)])
-                tgt_vocab = Vocabulary.from_tokens([f"t{i}" for i in range(vt - 4)
-                                                    for _ in range(2)])
+                src_vocab = build_vocab([[f"s{i}" for i in range(vs - 4)
+                                          for _ in range(2)]])
+                tgt_vocab = build_vocab([[f"t{i}" for i in range(vt - 4)
+                                          for _ in range(2)]])
                 if arch in ("lstm", "bilstm"):
                     cfg = config_for_arch(arch, embed_dim=int(rng.uniform((), 4, 9)),
                                           hidden_dim=int(rng.uniform((), 4, 9)),
@@ -389,7 +389,7 @@ COPY_ALPHABET = [chr(ord("a") + i) for i in range(16)]
 
 @pytest.fixture(scope="module")
 def copy_vocab():
-    return Vocabulary.from_tokens(COPY_ALPHABET * 2)
+    return build_vocab([COPY_ALPHABET * 2])
 
 
 class TestC07CopyTaskOverfit:
@@ -582,7 +582,7 @@ class TestC11DeterminismAndPersistence:
 
     def test_bit_identical_trajectories_and_checkpoints(self, tmp_path, announce):
         t0 = time.time()
-        vocab = Vocabulary.from_tokens(self.ALPHABET * 2)
+        vocab = build_vocab([self.ALPHABET * 2])
         pairs = copy_corpus(111, 24, vocab, self.ALPHABET, lo=4, hi=8)
         cfg = config_for_arch("transformer", enc_layers=1, dec_layers=1,
                               d_model=32, n_heads=2, d_ffn=64, dropout=0.1,

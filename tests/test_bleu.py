@@ -190,6 +190,13 @@ class TestScoreFiles:
         with pytest.raises(ScoringError):
             score_files(tmp_path / "c.txt", tmp_path / "r.txt")
 
+    def test_lines_split_on_lf_only(self, tmp_path):
+        # \f and U+2028 are line breaks to str.splitlines, not to a corpus
+        (tmp_path / "c.txt").write_text("a\fb c d\ne f\u2028g h\n", encoding="utf-8")
+        (tmp_path / "r.txt").write_text("a b c d\ne f g h\n", encoding="utf-8")
+        report = score_files(tmp_path / "c.txt", tmp_path / "r.txt")
+        assert report.per_sentence == [1.0, 1.0]
+
     def test_five_line_golden_pair(self, tmp_path):
         cands = ["a b c d e", "a b c d", "x y z w", "p q r s t u", "totally off base here"]
         refs = ["a b c d e", "a b c d e f", "x y z w", "p q r s t", "no overlap at all now"]

@@ -2,9 +2,13 @@
 
 import pytest
 
+from dmt.autodiff import RngState
+from dmt.corpus import read_lines
 from dmt.errors import ConfigError, ExperimentError
-from dmt.experiment import ExperimentConfig, aggregate_report, run_experiment
+from dmt.experiment import ExperimentConfig, _Runner, aggregate_report, run_experiment
 from dmt.training import TrainConfig
+
+STAGES = ["prep", "bpe", "vocab", "binarize", "train", "decode", "score"]
 
 class TestConfigParsing:
     def test_from_pairs_types(self):
@@ -85,11 +89,8 @@ class TestRunExperiment:
 
     def test_stage_order_in_log(self, copy_experiment):
         log = (copy_experiment["run_dir"] / "log.txt").read_text()
-        order = [stage for stage in ("prep", "bpe", "vocab", "binarize",
-                                     "train", "decode", "score")
-                 if f"stage {stage}: running" in log]
-        assert order == ["prep", "bpe", "vocab", "binarize", "train",
-                         "decode", "score"]
+        order = [stage for stage in STAGES if f"stage {stage}: running" in log]
+        assert order == STAGES
 
     def test_rerun_performs_no_stage_work(self, copy_experiment):
         run_dir = copy_experiment["run_dir"]
@@ -131,6 +132,23 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="misaligned"):
             run_experiment(cfg, runs_dir=tmp_path / "runs")
 
+    def test_prep_splits_lines_on_lf_only(self, tmp_path):
+        # \f inside a line must not shift one side against the other
+        (tmp_path / "t.kn").write_text("a\fb\nc d\ne f\ng h\n", encoding="utf-8")
+        (tmp_path / "t.ml").write_text("A B\nC D\nE\fF\nG H\n", encoding="utf-8")
+        cfg = ExperimentConfig.from_pairs({
+            "name": "ff", "src_lang": "kn", "tgt_lang": "ml",
+            "train_src": str(tmp_path / "t.kn"), "train_tgt": str(tmp_path / "t.ml"),
+            "dev_src": str(tmp_path / "t.kn"), "dev_tgt": str(tmp_path / "t.ml"),
+        })
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        _Runner(cfg, run_dir).do_prep()
+        pairs = list(zip(read_lines(run_dir / "prep" / "train.src"),
+                         read_lines(run_dir / "prep" / "train.tgt")))
+        assert pairs == [("a b", "A B"), ("c d", "C D"), ("e f", "E F"),
+                         ("g h", "G H")]
+
     def test_validation_before_any_stage(self, tmp_path):
         cfg = ExperimentConfig.from_pairs({
             "name": "ghost", "src_lang": "kn", "tgt_lang": "ml",
@@ -142,6 +160,81 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, runs_dir=tmp_path / "runs")
         assert not (tmp_path / "runs" / "ghost").exists()
+
+
+CIPHER = {c: c.upper() for c in "abcdefgh"}
+
+
+def write_cipher(path_src, path_tgt, rng, n):
+    """Pair files whose target is the source with every letter upper-cased."""
+    lines = [" ".join(sorted(CIPHER)[int(rng.uniform((), 0, len(CIPHER)))]
+                      for _ in range(int(rng.uniform((), 4, 9))))
+             for _ in range(n)]
+    path_src.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+    path_tgt.write_text("".join(ln.upper() + "\n" for ln in lines), encoding="utf-8")
+    return lines
+
+
+@pytest.fixture(scope="module")
+def bt_run(tmp_path_factory):
+    """A tiny conv run with back-translation, finished once per module."""
+    root = tmp_path_factory.mktemp("btrun")
+    rng = RngState(5)
+    for name, n in (("train", 100), ("dev", 16), ("test", 16)):
+        write_cipher(root / f"{name}.kn", root / f"{name}.ml", rng, n)
+    write_cipher(root / "mono.kn", root / "mono.ml", rng, 24)
+    cfg = ExperimentConfig.from_pairs({
+        "name": "bt", "src_lang": "kn", "tgt_lang": "ml",
+        "train_src": str(root / "train.kn"), "train_tgt": str(root / "train.ml"),
+        "dev_src": str(root / "dev.kn"), "dev_tgt": str(root / "dev.ml"),
+        "test_src": str(root / "test.kn"), "test_tgt": str(root / "test.ml"),
+        "mono": str(root / "mono.ml"), "backtranslation": "True",
+        "upsample_real": "2", "bpe_merges": "30", "arch": "conv", "beam": "2",
+        "seed": "1", "model.enc_layers": "1", "model.dec_layers": "1",
+        "model.dim": "16", "model.max_positions": "64",
+        "train.learning_rate": "0.01", "train.batch_size": "16",
+        "train.max_tokens": "0", "train.epochs": "2", "train.lr_shrink": "1.0",
+    })
+    run_dir = run_experiment(cfg, runs_dir=root / "runs")
+    return {"run_dir": run_dir, "config": cfg, "runs_dir": root / "runs"}
+
+
+class TestBackTranslationRun:
+    def test_stage_order_in_log(self, bt_run):
+        log = (bt_run["run_dir"] / "log.txt").read_text()
+        stages = ["backtranslate", "mix"] + STAGES
+        order = sorted((log.index(f"stage {s}: running"), s) for s in stages)
+        assert [s for _, s in order] == stages
+
+    def test_bt_artifacts(self, bt_run):
+        bt = bt_run["run_dir"] / "bt"
+        for rel in ("reverse/best.dmt", "pseudo.src", "pseudo.tgt",
+                    "pseudo.provenance.tsv", "augmented.src", "augmented.tgt"):
+            assert (bt / rel).exists(), rel
+
+    def test_provenance_row_per_pseudo_line(self, bt_run):
+        bt = bt_run["run_dir"] / "bt"
+        pseudo = read_lines(bt / "pseudo.tgt")
+        sidecar = [ln.split("\t") for ln in read_lines(bt / "pseudo.provenance.tsv")]
+        assert len(read_lines(bt / "pseudo.src")) == len(sidecar) == len(pseudo)
+        mono = read_lines(bt_run["config"].mono)
+        assert pseudo == [mono[int(row[0])] for row in sidecar]
+        assert all(len(row) == 3 for row in sidecar)
+
+    def test_augmented_counts(self, bt_run):
+        bt = bt_run["run_dir"] / "bt"
+        real = read_lines(bt_run["config"].train_src)
+        n_pseudo = len(read_lines(bt / "pseudo.src"))
+        for side in ("src", "tgt"):
+            assert len(read_lines(bt / f"augmented.{side}")) == 2 * len(real) + n_pseudo
+
+    def test_rerun_performs_no_stage_work(self, bt_run):
+        run_dir = bt_run["run_dir"]
+        log_before = (run_dir / "log.txt").read_text()
+        run_experiment(bt_run["config"], runs_dir=bt_run["runs_dir"])
+        rerun = (run_dir / "log.txt").read_text()[len(log_before):]
+        assert ": running" not in rerun
+        assert "nothing to do" in rerun
 
 
 class TestScoringSurface:

@@ -10,7 +10,7 @@ from dmt.autodiff import RngState, Tensor
 from dmt.errors import ConfigError, ShapeError
 from dmt.models import (ConvConfig, LstmConfig, TransformerConfig,
                         build_model, config_for_arch, label_smoothed_loss)
-from dmt.subword import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+from dmt.subword import BOS_ID, EOS_ID, PAD_ID, build_vocab
 
 from oracles import fd_grad_sampled, max_rel_err
 
@@ -18,7 +18,7 @@ ARCHS = ["lstm", "bilstm", "conv", "transformer"]
 
 
 def vocab_of_size(n):
-    return Vocabulary.from_tokens([f"w{i:03d}" for i in range(n - 4) for _ in range(2)])
+    return build_vocab([[f"w{i:03d}" for i in range(n - 4) for _ in range(2)]])
 
 
 def tiny_config(arch):
@@ -150,7 +150,7 @@ class TestForwardContracts:
         src = np.full((2, 4), PAD_ID, dtype=np.int64)
         with ad.no_grad():
             memory = model.encode(src)
-        assert memory.any_fully_masked
+        assert memory.fully_masked.any()
         assert memory.states is not None
 
     @pytest.mark.parametrize("arch", ARCHS)

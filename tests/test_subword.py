@@ -7,7 +7,7 @@ import pytest
 from dmt.autodiff import RngState
 from dmt.errors import VocabError
 from dmt.subword import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, BpeModel, Vocabulary,
-                         apply_bpe, build_vocab, decode, encode, learn_bpe,
+                         apply_bpe, build_vocab, learn_bpe,
                          undo_bpe, undo_bpe_counted)
 
 
@@ -219,26 +219,26 @@ class TestVocabulary:
 class TestEncodeDecode:
     def test_empty_gets_eos(self):
         vocab = build_vocab([["a"]])
-        assert encode(vocab, []) == [EOS_ID]
+        assert vocab.encode([]) == [EOS_ID]
 
     def test_unknown_maps_to_unk(self):
         vocab = build_vocab([["a"]])
-        assert encode(vocab, ["a", "zzz"]) == [4, UNK_ID, EOS_ID]
+        assert vocab.encode(["a", "zzz"]) == [4, UNK_ID, EOS_ID]
 
     def test_decode_drops_specials(self):
         vocab = build_vocab([["a"]])
-        assert decode(vocab, [4, EOS_ID]) == ["a"]
-        assert decode(vocab, [PAD_ID, PAD_ID, EOS_ID]) == []
-        assert decode(vocab, [BOS_ID, 4]) == ["a"]
+        assert vocab.decode([4, EOS_ID]) == ["a"]
+        assert vocab.decode([PAD_ID, PAD_ID, EOS_ID]) == []
+        assert vocab.decode([BOS_ID, 4]) == ["a"]
 
     def test_unk_rendered_literally(self):
         vocab = build_vocab([["a"]])
-        assert decode(vocab, [UNK_ID]) == ["<unk>"]
+        assert vocab.decode([UNK_ID]) == ["<unk>"]
 
     def test_out_of_range_rejected(self):
         vocab = build_vocab([["a"]])
         with pytest.raises(VocabError):
-            decode(vocab, [len(vocab)])
+            vocab.decode([len(vocab)])
 
     def test_round_trip_in_vocab(self):
         rng = RngState(10)
@@ -247,7 +247,7 @@ class TestEncodeDecode:
         applied = [apply_bpe(model, s) for s in corpus]
         vocab = build_vocab(applied)
         for subwords in applied:
-            assert decode(vocab, encode(vocab, subwords)) == subwords
+            assert vocab.decode(vocab.encode(subwords)) == subwords
 
 
 class TestModelSerialization:

@@ -8,7 +8,7 @@ import dmt.training
 from dmt.autodiff import RngState, Tensor
 from dmt.errors import CheckpointError, ConfigError, DivergenceError, FingerprintError
 from dmt.models import build_model, config_for_arch
-from dmt.subword import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+from dmt.subword import BOS_ID, EOS_ID, PAD_ID, build_vocab
 from dmt.training import (AdamState, PlateauScheduler, TrainConfig, adam_step,
                           load_checkpoint, make_batches, pad_batch, preset,
                           restore_model, save_checkpoint, snapshot, train)
@@ -27,7 +27,7 @@ def copy_pairs(rng, n, vocab, lo=4, hi=9):
 
 @pytest.fixture(scope="module")
 def vocab():
-    return Vocabulary.from_tokens(ALPHABET * 2)
+    return build_vocab([ALPHABET * 2])
 
 
 def tiny_transformer(vocab, seed=3, dropout=0.1):
@@ -260,7 +260,7 @@ class TestCheckpoint:
 
     def test_vocab_fingerprint_mismatch(self, vocab, tmp_path):
         _, ckpt = self.make_ckpt(vocab)
-        other = Vocabulary.from_tokens(["zz", "yy"] * 2)
+        other = build_vocab([["zz", "yy"] * 2])
         with pytest.raises(FingerprintError):
             restore_model(ckpt, other, other)
 

@@ -5,11 +5,11 @@ checked against exhaustive enumeration."""
 import numpy as np
 
 from dmt.autodiff import Tensor, RngState, fan_seed
-from dmt.subword import EOS_ID, PAD_ID, Vocabulary
+from dmt.subword import EOS_ID, PAD_ID, build_vocab
 
 
 def small_vocab(n_words):
-    return Vocabulary.from_tokens([f"t{i}" for i in range(n_words) for _ in range(2)])
+    return build_vocab([[f"t{i}" for i in range(n_words) for _ in range(2)]])
 
 
 class TableMemory:
