@@ -14,8 +14,8 @@ from pathlib import Path
 from . import __version__, textnorm
 from .backtranslation import generate_pseudo_parallel, load_pseudo, mix, save_pseudo
 from .bleu import score_files
-from .corpus import (LanguageTag, load_monolingual, load_parallel, save_parallel,
-                     split, stats)
+from .corpus import (LanguageTag, load_monolingual, load_parallel, read_lines,
+                     save_parallel, split, stats)
 from .decoding import DecodeConfig, translate_lines
 from .errors import DmtError
 from .experiment import ExperimentConfig, aggregate_report, run_experiment
@@ -30,9 +30,8 @@ _SCRIPT_LANG = {"devanagari": "sn", "kannada": "kn", "tamil": "ta",
 
 
 def _read_lines(args):
-    if getattr(args, "infile", None):
-        return Path(args.infile).read_text(encoding="utf-8").splitlines()
-    return sys.stdin.read().splitlines()
+    """The lines of --in, or of stdin, split on LF only (corpus.read_lines)."""
+    return read_lines(getattr(args, "infile", None) or sys.stdin)
 
 
 def _write_lines(args, lines):

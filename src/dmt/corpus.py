@@ -114,13 +114,21 @@ class CorpusStats:
 
 def read_lines(path) -> list:
     """The lines of a UTF-8 corpus file, split on LF only (other Unicode
-    line breaks such as \\f or U+2028 stay inside their line)."""
+    line breaks such as \\f or U+2028 stay inside their line). `path`
+    may also be an open file such as sys.stdin, read as bytes where it
+    has a binary buffer."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        if hasattr(path, "read"):
+            data = getattr(path, "buffer", path).read()
+        else:
+            data = Path(path).read_bytes()
+        text = data if isinstance(data, str) else data.decode("utf-8")
     except FileNotFoundError:
         raise CorpusError(f"no such corpus file: {path}")
+    except OSError as e:
+        raise CorpusError(f"cannot read corpus file {path}: {e.strerror}")
     except UnicodeDecodeError as e:
-        raise CorpusError(f"{path} is not valid UTF-8: {e}")
+        raise CorpusError(f"{getattr(path, 'name', path)} is not valid UTF-8: {e}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -138,8 +146,8 @@ def load_parallel(src_path, tgt_path, src_lang: LanguageTag,
     tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
-            f"line-count mismatch: {src_path} has {len(src_lines)} lines, "
-            f"{tgt_path} has {len(tgt_lines)}")
+            f"sides are misaligned (line-count mismatch): {src_path} has "
+            f"{len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}")
     pairs = []
     rejected = 0
     for s, t in zip(src_lines, tgt_lines):

@@ -8,6 +8,8 @@ model that implements only ``encode``/``decode_step`` is wrapped in
 RecomputeDecoder, which re-runs the whole prefix on every step. Greedy
 decoding of many sentences (``translate_lines``, dev BLEU in training)
 goes through ``greedy_decode_many``, GREEDY_CHUNK sentences per batch.
+``translate_lines`` is the one text -> text loop; beam search runs
+``beam_decode`` once per line.
 
 Hypothesis ordering is deterministic everywhere: score ties break to
 higher raw log-probability, then shorter output, then lexicographically
@@ -27,7 +29,7 @@ from .subword import BOS_ID, EOS_ID, PAD_ID
 
 __all__ = ["DecodeConfig", "Hypothesis", "RecomputeDecoder", "greedy_decode",
            "greedy_decode_batch", "greedy_decode_many", "beam_decode",
-           "translate", "translate_lines"]
+           "translate_lines"]
 
 GREEDY_CHUNK = 64  # sentences per greedy_decode_batch call
 
@@ -243,31 +245,15 @@ def beam_decode(model, src_ids, config: DecodeConfig = None):
     return done[0], done
 
 
-def translate(model, text: str, ctx: PipelineContext,
-              config: DecodeConfig = None) -> str:
-    """Full pipeline: normalize, tokenize, transliterate, BPE, decode,
-    un-BPE, detokenize, detransliterate back to the target script."""
-    config = config or DecodeConfig()
-    ctx.check_model(model)
-    subwords = ctx.source_subwords(text)
-    if not subwords:
-        return ""
-    src_ids = ctx.src_vocab.encode(subwords)
-    if config.beam == 1:
-        best = greedy_decode(model, src_ids, config)
-    else:
-        best, _ = beam_decode(model, src_ids, config)
-    return ctx.target_text(list(best.output_ids))
-
-
 def translate_lines(model, lines, ctx: PipelineContext,
                     config: DecodeConfig = None) -> list:
-    """Translate many lines; greedy configs run batched for speed."""
+    """The full pipeline over many lines: normalize, tokenize,
+    transliterate, BPE, decode (greedy batched through
+    greedy_decode_many, beam search one line at a time), un-BPE,
+    detokenize, detransliterate back to the target script. A line with
+    no subwords translates to ""."""
     config = config or DecodeConfig()
     ctx.check_model(model)
-    if config.beam != 1:
-        return [translate(model, ln, ctx, config) for ln in lines]
-
     out = [""] * len(lines)
     rows, todo = [], []
     for i, ln in enumerate(lines):
@@ -275,6 +261,10 @@ def translate_lines(model, lines, ctx: PipelineContext,
         if subwords:  # encode() appends EOS, so test emptiness before it
             rows.append(i)
             todo.append(ctx.src_vocab.encode(subwords))
-    for i, hyp in zip(rows, greedy_decode_many(model, todo, config)):
+    if config.beam == 1:
+        hyps = greedy_decode_many(model, todo, config)
+    else:
+        hyps = [beam_decode(model, ids, config)[0] for ids in todo]
+    for i, hyp in zip(rows, hyps):
         out[i] = ctx.target_text(list(hyp.output_ids))
     return out

@@ -3,11 +3,15 @@ stage graph with persisted intermediates, and idempotent resumption.
 
 Every training sentence, real or back-translated, flows through the same
 stage order: normalize, pre-tokenize, transliterate (the one text chain,
-``pipeline.prep_tokens``), BPE, binarize. With back-translation on, the
-backtranslate stage runs the one back-translation path,
-``backtranslation.backtranslate``, and the mix stage reads its pseudo
-files back with ``backtranslation.load_pseudo``. Every file is read with
-``corpus.read_lines``, which splits on LF only.
+``pipeline.prep_tokens``), BPE, binarize. The prep stage admits pairs
+through ``corpus.load_parallel`` (a pair blank on one side is rejected
+and counted in the log); the bpe, vocab and binarize stages persist what
+``pipeline.build_context`` + ``encode_corpus`` build from the same pairs,
+through the same ``learn_bpe_models`` and ``build_side_vocab``. With
+back-translation on, the backtranslate stage runs the one
+back-translation path, ``backtranslation.backtranslate``, and the mix
+stage reads its pseudo files back with ``backtranslation.load_pseudo``.
+Every file is read with ``corpus.read_lines``, which splits on LF only.
 Completed stages are stamped and skipped on rerun; a rerun of a finished
 experiment performs no stage work.
 """
@@ -30,8 +34,8 @@ from .corpus import (LanguageTag, load_monolingual, load_parallel, read_lines,
 from .decoding import DecodeConfig, translate_lines
 from .errors import ConfigError, ExperimentError
 from .models import build_model, config_for_arch
-from .pipeline import PipelineContext, prep_tokens
-from .subword import BpeModel, Vocabulary, apply_bpe, build_vocab, learn_bpe
+from .pipeline import PipelineContext, build_side_vocab, learn_bpe_models, prep_tokens
+from .subword import BpeModel, Vocabulary, apply_bpe
 from .training import PRESETS, TrainConfig, load_checkpoint, preset, restore_model, train
 
 __all__ = ["ExperimentConfig", "run_experiment", "runs_root", "aggregate_report"]
@@ -237,12 +241,6 @@ class _Runner:
 
     # ---- stage bodies ----
 
-    @property
-    def train_files(self):
-        if self.cfg.backtranslation:
-            return self.dir / "bt" / "augmented.src", self.dir / "bt" / "augmented.tgt"
-        return Path(self.cfg.train_src), Path(self.cfg.train_tgt)
-
     def do_backtranslate(self):
         cfg = self.cfg
         src_lang, tgt_lang = LanguageTag(cfg.src_lang), LanguageTag(cfg.tgt_lang)
@@ -273,70 +271,66 @@ class _Runner:
         self.log(f"mix: {len(real)} real + {len(pseudo)} pseudo -> {len(mixed)}")
         save_parallel(mixed, bt_dir / "augmented.src", bt_dir / "augmented.tgt")
 
+    def _splits(self):
+        """(name, source file, target file) of every split the run uses;
+        with back-translation on, train is the mixed corpus."""
+        cfg, bt = self.cfg, self.dir / "bt"
+        train = ((bt / "augmented.src", bt / "augmented.tgt") if cfg.backtranslation
+                 else (cfg.train_src, cfg.train_tgt))
+        splits = [("train", *train), ("dev", cfg.dev_src, cfg.dev_tgt)]
+        if cfg.test_src:
+            splits.append(("test", cfg.test_src, cfg.test_tgt))
+        return splits
+
+    def _tokens(self, split_name, side):
+        """The prepped token lists of one side of a split."""
+        path = self.dir / "prep" / f"{split_name}.{side}"
+        return [ln.split() for ln in read_lines(path)]
+
     def do_prep(self):
         cfg = self.cfg
         prep = self.dir / "prep"
         prep.mkdir(exist_ok=True)
-        src_script = textnorm.script_for_lang(cfg.src_lang)
-        tgt_script = textnorm.script_for_lang(cfg.tgt_lang)
-        train_src, train_tgt = self.train_files
-        splits = [("train", train_src, train_tgt),
-                  ("dev", cfg.dev_src, cfg.dev_tgt)]
-        if cfg.test_src:
-            splits.append(("test", cfg.test_src, cfg.test_tgt))
-        for name, src_path, tgt_path in splits:
-            src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
-            if len(src_lines) != len(tgt_lines):
-                raise ExperimentError(
-                    f"{name} corpus sides are misaligned: {src_path} has "
-                    f"{len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}")
-            for side, lines, script in (("src", src_lines, src_script),
-                                        ("tgt", tgt_lines, tgt_script)):
+        src_lang, tgt_lang = LanguageTag(cfg.src_lang), LanguageTag(cfg.tgt_lang)
+        for name, src_path, tgt_path in self._splits():
+            corpus = load_parallel(src_path, tgt_path, src_lang, tgt_lang)
+            if corpus.n_rejected:
+                self.log(f"prep: {name}: {corpus.n_rejected} pairs rejected "
+                         f"(blank on one side)")
+            for side, lang, texts in (("src", src_lang, [p.source for p in corpus]),
+                                      ("tgt", tgt_lang, [p.target for p in corpus])):
+                script = textnorm.script_for_lang(lang.code)
                 _write_lines(prep / f"{name}.{side}", [
-                    " ".join(prep_tokens(ln, script, cfg.transliterate,
-                                         cfg.keep_joiners)) for ln in lines])
+                    " ".join(prep_tokens(text, script, cfg.transliterate,
+                                         cfg.keep_joiners)) for text in texts])
 
     def do_bpe(self):
-        prep = self.dir / "prep"
         out = self.dir / "bpe"
         out.mkdir(exist_ok=True)
-        src_tok = [ln.split() for ln in read_lines(prep / "train.src")]
-        tgt_tok = [ln.split() for ln in read_lines(prep / "train.tgt")]
-        if self.cfg.joint_bpe:
-            model = learn_bpe(src_tok + tgt_tok, self.cfg.bpe_merges)
-            model.save(out / "src.model")
-            model.save(out / "tgt.model")
-        else:
-            learn_bpe(src_tok, self.cfg.bpe_merges).save(out / "src.model")
-            learn_bpe(tgt_tok, self.cfg.bpe_merges).save(out / "tgt.model")
+        bpe_src, bpe_tgt = learn_bpe_models(
+            self._tokens("train", "src"), self._tokens("train", "tgt"),
+            self.cfg.bpe_merges, self.cfg.joint_bpe)
+        bpe_src.save(out / "src.model")
+        bpe_tgt.save(out / "tgt.model")
 
     def do_vocab(self):
-        prep, bpe_dir = self.dir / "prep", self.dir / "bpe"
         out = self.dir / "vocab"
         out.mkdir(exist_ok=True)
         for side in ("src", "tgt"):
-            model = BpeModel.load(bpe_dir / f"{side}.model")
-            applied = [apply_bpe(model, ln.split())
-                       for ln in read_lines(prep / f"train.{side}")]
-            vocab = build_vocab(applied, min_count=self.cfg.min_count)
-            vocab.save(out / f"{side}.vocab")
+            bpe = BpeModel.load(self.dir / "bpe" / f"{side}.model")
+            build_side_vocab(bpe, self._tokens("train", side),
+                             self.cfg.min_count).save(out / f"{side}.vocab")
 
     def do_binarize(self):
-        prep = self.dir / "prep"
+        ctx = self._load_context()
         out = self.dir / "bin"
         out.mkdir(exist_ok=True)
-        models = {side: BpeModel.load(self.dir / "bpe" / f"{side}.model")
-                  for side in ("src", "tgt")}
-        vocabs = {side: Vocabulary.load(self.dir / "vocab" / f"{side}.vocab")
-                  for side in ("src", "tgt")}
-        splits = ["train", "dev"] + (["test"] if self.cfg.test_src else [])
-        for split_name in splits:
-            for side in ("src", "tgt"):
-                lines = read_lines(prep / f"{split_name}.{side}")
-                ids = [vocabs[side].encode(apply_bpe(models[side], ln.split()))
-                       for ln in lines]
-                _write_lines(out / f"{split_name}.{side}.ids",
-                             [" ".join(str(i) for i in row) for row in ids])
+        sides = {"src": (ctx.bpe_src, ctx.src_vocab), "tgt": (ctx.bpe_tgt, ctx.tgt_vocab)}
+        for name, _, _ in self._splits():
+            for side, (bpe, vocab) in sides.items():
+                _write_lines(out / f"{name}.{side}.ids", [
+                    " ".join(str(i) for i in vocab.encode(apply_bpe(bpe, tokens)))
+                    for tokens in self._tokens(name, side)])
 
     def _load_context(self) -> PipelineContext:
         return PipelineContext(

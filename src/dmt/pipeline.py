@@ -4,7 +4,12 @@ BPE, and vocabulary encoding, plus the inverse chain.
 
 ``prep_tokens`` is the one text chain (normalize -> tokenize ->
 transliterate); the pipeline context, ``build_context`` and the runner's
-prep stage all call it.
+prep stage all call it. ``learn_bpe_models`` (the one joint rule) and
+``build_side_vocab`` are the one subword-model builder, called by
+``build_context`` and by the runner's bpe and vocab stages. Joint BPE
+learns one model over both sides and keeps the vocabularies per side:
+the models tie no embeddings, so a shared vocabulary would only widen
+both embedding tables and the output projection.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from .errors import FingerprintError
 from .subword import (BpeModel, Vocabulary, apply_bpe, build_vocab, learn_bpe,
                       undo_bpe)
 
-__all__ = ["PipelineContext", "prep_tokens", "build_context", "encode_corpus"]
+__all__ = ["PipelineContext", "prep_tokens", "learn_bpe_models", "build_side_vocab",
+           "build_context", "encode_corpus"]
 
 
 def prep_tokens(text: str, script, transliterate: bool = True,
@@ -52,12 +58,6 @@ class PipelineContext:
     def tgt_script(self):
         return textnorm.script_for_lang(self.tgt_lang.code)
 
-    def swapped(self) -> "PipelineContext":
-        return PipelineContext(self.tgt_lang, self.src_lang,
-                               self.bpe_tgt, self.bpe_src,
-                               self.tgt_vocab, self.src_vocab,
-                               self.transliterate, self.keep_joiners)
-
     # -- text -> subwords -> ids
 
     def source_subwords(self, text: str) -> list:
@@ -91,38 +91,41 @@ class PipelineContext:
                 f"model vocab fingerprints {got} do not match pipeline {want}")
 
 
+def learn_bpe_models(src_tok, tgt_tok, num_merges: int, joint: bool):
+    """(source, target) BPE models from per-side prepped token lists: one
+    model per side, or with `joint` one model over both sides, used for
+    both."""
+    if joint:
+        model = learn_bpe(src_tok + tgt_tok, num_merges)
+        return model, model
+    return learn_bpe(src_tok, num_merges), learn_bpe(tgt_tok, num_merges)
+
+
+def build_side_vocab(bpe: BpeModel, tokens, min_count: int,
+                     max_vocab: int = None) -> Vocabulary:
+    """One side's vocabulary: its prepped token lists under its BPE model."""
+    return build_vocab([apply_bpe(bpe, t) for t in tokens],
+                       min_count=min_count, max_size=max_vocab)
+
+
 def build_context(corpus: ParallelCorpus, num_merges: int = 8000,
                   min_count: int = 1, max_vocab: int = None,
                   joint: bool = False, transliterate: bool = True,
                   keep_joiners: bool = False) -> PipelineContext:
-    """Learn BPE models and vocabularies from a parallel corpus.
-
-    Per-side models by default; joint=True learns one shared model and
-    vocabulary over both sides (plausible once scripts are pooled by
-    transliteration).
-    """
+    """Learn BPE models (see learn_bpe_models) and per-side vocabularies
+    from a parallel corpus."""
     src_script = textnorm.script_for_lang(corpus.src_lang.code)
     tgt_script = textnorm.script_for_lang(corpus.tgt_lang.code)
     src_tok = [prep_tokens(p.source, src_script, transliterate, keep_joiners)
                for p in corpus.pairs]
     tgt_tok = [prep_tokens(p.target, tgt_script, transliterate, keep_joiners)
                for p in corpus.pairs]
-
-    if joint:
-        model = learn_bpe(src_tok + tgt_tok, num_merges)
-        applied = [apply_bpe(model, s) for s in src_tok + tgt_tok]
-        vocab = build_vocab(applied, min_count=min_count, max_size=max_vocab)
-        bpe_src = bpe_tgt = model
-        src_vocab = tgt_vocab = vocab
-    else:
-        bpe_src = learn_bpe(src_tok, num_merges)
-        bpe_tgt = learn_bpe(tgt_tok, num_merges)
-        src_vocab = build_vocab([apply_bpe(bpe_src, s) for s in src_tok],
-                                min_count=min_count, max_size=max_vocab)
-        tgt_vocab = build_vocab([apply_bpe(bpe_tgt, s) for s in tgt_tok],
-                                min_count=min_count, max_size=max_vocab)
-    return PipelineContext(corpus.src_lang, corpus.tgt_lang, bpe_src, bpe_tgt,
-                           src_vocab, tgt_vocab, transliterate, keep_joiners)
+    bpe_src, bpe_tgt = learn_bpe_models(src_tok, tgt_tok, num_merges, joint)
+    return PipelineContext(
+        corpus.src_lang, corpus.tgt_lang, bpe_src, bpe_tgt,
+        build_side_vocab(bpe_src, src_tok, min_count, max_vocab),
+        build_side_vocab(bpe_tgt, tgt_tok, min_count, max_vocab),
+        transliterate, keep_joiners)
 
 
 def encode_corpus(ctx: PipelineContext, corpus: ParallelCorpus) -> list:

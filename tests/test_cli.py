@@ -77,6 +77,34 @@ class TestPrepFilters:
         assert out == "क\n"
 
 
+class TestInputLines:
+    def test_stdin_splits_on_lf_only(self, capsys, monkeypatch):
+        # \f inside a line must not make an extra output line
+        code, out, _ = run_cli(capsys, monkeypatch, ["prep", "tokenize"],
+                               stdin="a\fb\nc d\n")
+        assert code == 0
+        assert out == "a b\nc d\n"
+
+    @pytest.mark.parametrize("name", ["missing", "."], ids=["missing", "directory"])
+    def test_unreadable_input_file_is_a_one_line_error(self, capsys, monkeypatch,
+                                                       tmp_path, name):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["prep", "tokenize", "--in", str(tmp_path / name)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dmt: error:") and len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_input_file_is_a_one_line_error(self, capsys, monkeypatch,
+                                                     tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a \xff b\n")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["prep", "tokenize", "--in", str(bad)])
+        assert code == 1
+        assert out == ""
+        assert "not valid UTF-8" in err and len(err.strip().splitlines()) == 1
+
+
 class TestBpePipeline:
     def test_learn_apply_undo_round_trip(self, capsys, monkeypatch, tmp_path):
         corpus = "low lower lowest\nnew newer newest\nlow new低\n".replace("低", "")

@@ -3,9 +3,10 @@
 import pytest
 
 from dmt.autodiff import RngState
-from dmt.corpus import read_lines
+from dmt.corpus import LanguageTag, load_parallel, read_lines
 from dmt.errors import ConfigError, ExperimentError
 from dmt.experiment import ExperimentConfig, _Runner, aggregate_report, run_experiment
+from dmt.pipeline import build_context, encode_corpus
 from dmt.training import TrainConfig
 
 STAGES = ["prep", "bpe", "vocab", "binarize", "train", "decode", "score"]
@@ -149,6 +150,24 @@ class TestRunExperiment:
         assert pairs == [("a b", "A B"), ("c d", "C D"), ("e f", "E F"),
                          ("g h", "G H")]
 
+    def test_prep_rejects_pairs_blank_on_one_side(self, tmp_path):
+        (tmp_path / "t.kn").write_text("a b\n\nc d\ne f\n", encoding="utf-8")
+        (tmp_path / "t.ml").write_text("A B\nX Y\n\nE F\n", encoding="utf-8")
+        cfg = ExperimentConfig.from_pairs({
+            "name": "blank", "src_lang": "kn", "tgt_lang": "ml",
+            "train_src": str(tmp_path / "t.kn"), "train_tgt": str(tmp_path / "t.ml"),
+            "dev_src": str(tmp_path / "t.kn"), "dev_tgt": str(tmp_path / "t.ml"),
+        })
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        _Runner(cfg, run_dir).do_prep()
+        for name in ("train", "dev"):
+            assert read_lines(run_dir / "prep" / f"{name}.src") == ["a b", "e f"]
+            assert read_lines(run_dir / "prep" / f"{name}.tgt") == ["A B", "E F"]
+        log = (run_dir / "log.txt").read_text(encoding="utf-8")
+        assert "prep: train: 2 pairs rejected" in log
+        assert "prep: dev: 2 pairs rejected" in log
+
     def test_validation_before_any_stage(self, tmp_path):
         cfg = ExperimentConfig.from_pairs({
             "name": "ghost", "src_lang": "kn", "tgt_lang": "ml",
@@ -160,6 +179,66 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, runs_dir=tmp_path / "runs")
         assert not (tmp_path / "runs" / "ghost").exists()
+
+
+class TestSubwordStages:
+    """The bpe, vocab and binarize stages persist what build_context +
+    encode_corpus build from the same load_parallel corpora."""
+
+    WORDS = [("ab", "XY"), ("abc", "XYZ"), ("cab", "ZXY"), ("bca", "YZX"),
+             ("ಕನ್ನಡ", "മലയാളം"), ("ಭಾಷೆ", "ഭാഷ")]
+
+    def write_split(self, root, name, rng, n):
+        src, tgt = [], []
+        for _ in range(n):
+            picks = [self.WORDS[int(rng.uniform((), 0, len(self.WORDS)))]
+                     for _ in range(int(rng.uniform((), 2, 6)))]
+            src.append(" ".join(s for s, _ in picks))
+            tgt.append(" ".join(t for _, t in picks))
+        # one pair blank on one side, one blank on both
+        src[1], tgt[2:4] = "", ["", ""]
+        for side, lines in (("kn", src), ("ml", tgt)):
+            (root / f"{name}.{side}").write_text(
+                "".join(ln + "\n" for ln in lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_stage_outputs_equal_build_context(self, tmp_path, joint):
+        rng = RngState(7)
+        for name, n in (("train", 40), ("dev", 8)):
+            self.write_split(tmp_path, name, rng, n)
+        cfg = ExperimentConfig.from_pairs({
+            "name": "ref", "src_lang": "kn", "tgt_lang": "ml",
+            "train_src": str(tmp_path / "train.kn"), "train_tgt": str(tmp_path / "train.ml"),
+            "dev_src": str(tmp_path / "dev.kn"), "dev_tgt": str(tmp_path / "dev.ml"),
+            "bpe_merges": "12", "joint_bpe": str(joint),
+        })
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        runner = _Runner(cfg, run_dir)
+        for stage in (runner.do_prep, runner.do_bpe, runner.do_vocab, runner.do_binarize):
+            stage()
+
+        kn, ml = LanguageTag("kn"), LanguageTag("ml")
+        corpora = {name: load_parallel(tmp_path / f"{name}.kn", tmp_path / f"{name}.ml",
+                                       kn, ml) for name in ("train", "dev")}
+        ctx = build_context(corpora["train"], num_merges=12, joint=joint)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for side, bpe, vocab in (("src", ctx.bpe_src, ctx.src_vocab),
+                                 ("tgt", ctx.bpe_tgt, ctx.tgt_vocab)):
+            bpe.save(ref / f"{side}.model")
+            vocab.save(ref / f"{side}.vocab")
+            for rel in (f"bpe/{side}.model", f"vocab/{side}.vocab"):
+                got = (run_dir / rel).read_bytes()
+                assert got == (ref / rel.split("/")[1]).read_bytes(), rel
+        for name, corpus in corpora.items():
+            data = encode_corpus(ctx, corpus)
+            for k, side in enumerate(("src", "tgt")):
+                ids = [[int(i) for i in ln.split()]
+                       for ln in read_lines(run_dir / "bin" / f"{name}.{side}.ids")]
+                assert ids == [pair[k] for pair in data], (name, side)
+        assert (ctx.bpe_src is ctx.bpe_tgt) == joint
+        assert len(corpora["train"]) == 37
 
 
 CIPHER = {c: c.upper() for c in "abcdefgh"}

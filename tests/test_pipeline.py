@@ -6,7 +6,7 @@ import dmt.pipeline
 from dmt import textnorm
 from dmt.autodiff import RngState
 from dmt.corpus import LanguageTag, ParallelCorpus, SentencePair
-from dmt.decoding import DecodeConfig, translate
+from dmt.decoding import DecodeConfig, translate_lines
 from dmt.errors import FingerprintError
 from dmt.pipeline import build_context, encode_corpus
 from dmt.subword import EOS_ID
@@ -35,9 +35,16 @@ class TestBuildContext:
         assert ctx.src_vocab.fingerprint() != ctx.tgt_vocab.fingerprint()
 
     def test_joint_shares_model_and_vocab(self):
-        ctx = build_context(small_corpus(), num_merges=10, joint=True)
+        # joint: one BPE model learned over both sides and used by both;
+        # each side keeps its own vocabulary over that model
+        corpus = ParallelCorpus([SentencePair("ab ab abc", "XY XY XYZ")] * 3, KN, ML)
+        ctx = build_context(corpus, num_merges=4, joint=True)
         assert ctx.bpe_src is ctx.bpe_tgt
-        assert ctx.src_vocab is ctx.tgt_vocab
+        merged = "".join(a + b for a, b in ctx.bpe_src.merges)
+        assert "a" in merged and "X" in merged
+        specials = set(ctx.src_vocab.token_of[:4])
+        assert set(ctx.src_vocab.token_of) - specials == {"ab", "a@@", "b@@", "c"}
+        assert set(ctx.tgt_vocab.token_of) - specials == {"XY", "XYZ"}
 
     def test_scripts_follow_language_tags(self):
         ctx = build_context(small_corpus(), num_merges=0)
@@ -83,14 +90,14 @@ class TestTranslateGuard:
         other_ctx = build_context(small_corpus(10), num_merges=0)
         model = cipher_table_model({}, other_ctx.src_vocab, other_ctx.tgt_vocab)
         with pytest.raises(FingerprintError):
-            translate(model, "a b c d", ctx, DecodeConfig(beam=1))
+            translate_lines(model, ["a b c d"], ctx, DecodeConfig(beam=1))[0]
 
     def test_empty_input_empty_output(self):
         corpus = small_corpus()
         ctx = build_context(corpus, num_merges=0)
         model = cipher_table_model({}, ctx.src_vocab, ctx.tgt_vocab)
-        assert translate(model, "", ctx, DecodeConfig(beam=1)) == ""
-        assert translate(model, "   ", ctx, DecodeConfig(beam=1)) == ""
+        assert translate_lines(model, [""], ctx, DecodeConfig(beam=1))[0] == ""
+        assert translate_lines(model, ["   "], ctx, DecodeConfig(beam=1))[0] == ""
 
 
 class TestStageOrder:
@@ -126,7 +133,7 @@ class TestStageOrder:
         spy(dmt.pipeline.textnorm, "detokenize", "detokenize")
         spy(dmt.pipeline.textnorm, "detransliterate", "detransliterate")
 
-        out = translate(model, "a b c d", ctx, DecodeConfig(beam=1))
+        out = translate_lines(model, ["a b c d"], ctx, DecodeConfig(beam=1))[0]
         assert out == "A B C D"
         expected = ["normalize", "tokenize", "transliterate", "apply_bpe",
                     "undo_bpe", "detokenize", "detransliterate"]
