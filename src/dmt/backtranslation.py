@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .autodiff import RngState, fan_seed
 from .corpus import (LanguageTag, MonolingualCorpus, ParallelCorpus, SentencePair,
-                     load_parallel, save_parallel)
+                     load_parallel, save_parallel, write_lines)
 from .decoding import DecodeConfig, translate_lines
 from .errors import CorpusError
 from .models import build_model, config_for_arch
@@ -58,8 +58,7 @@ def save_pseudo(pseudo: PseudoParallelCorpus, prefix):
     """Write `prefix`.src, `prefix`.tgt and the provenance sidecar
     `prefix`.provenance.tsv, one row per pseudo pair."""
     save_parallel(pseudo, f"{prefix}.src", f"{prefix}.tgt")
-    Path(f"{prefix}.provenance.tsv").write_text(
-        "".join(ln + "\n" for ln in pseudo.sidecar_lines()), encoding="utf-8")
+    write_lines(f"{prefix}.provenance.tsv", pseudo.sidecar_lines())
 
 
 def load_pseudo(prefix, src_lang: LanguageTag, tgt_lang: LanguageTag) -> ParallelCorpus:

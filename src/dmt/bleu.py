@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import textnorm
-from .corpus import read_lines
+from .corpus import read_lines, write_lines
 from .errors import ScoringError
 from .subword import undo_bpe
 
@@ -176,5 +175,5 @@ def score_files(cand_path, ref_path, config: BleuConfig = DEFAULT_CONFIG,
     if report_path is not None:
         lines = [f"{i}\t{s:.6f}" for i, s in enumerate(report.per_sentence)]
         lines.append(report.summary_line())
-        Path(report_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(report_path, lines)
     return report

@@ -15,7 +15,7 @@ from . import __version__, textnorm
 from .backtranslation import generate_pseudo_parallel, load_pseudo, mix, save_pseudo
 from .bleu import score_files
 from .corpus import (LanguageTag, load_monolingual, load_parallel, read_lines,
-                     save_parallel, split, stats)
+                     save_parallel, split, stats, write_lines)
 from .decoding import DecodeConfig, translate_lines
 from .errors import DmtError
 from .experiment import ExperimentConfig, aggregate_report, run_experiment
@@ -35,11 +35,10 @@ def _read_lines(args):
 
 
 def _write_lines(args, lines):
-    text = "".join(ln + "\n" for ln in lines)
     if getattr(args, "outfile", None):
-        Path(args.outfile).write_text(text, encoding="utf-8")
+        write_lines(args.outfile, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(ln + "\n" for ln in lines))
 
 
 def _in_flag(p):

@@ -16,7 +16,7 @@ from .errors import CorpusError
 __all__ = [
     "LanguageTag", "SentencePair", "ParallelCorpus", "MonolingualCorpus",
     "CorpusStats", "register_language", "load_parallel", "load_monolingual",
-    "save_parallel", "read_lines", "split", "stats",
+    "save_parallel", "read_lines", "write_lines", "split", "stats",
 ]
 
 _KNOWN_TAGS = {"kn", "ml", "ta", "te", "tu", "sn"}
@@ -113,7 +113,7 @@ class CorpusStats:
 
 
 def read_lines(path) -> list:
-    """The lines of a UTF-8 corpus file, split on LF only (other Unicode
+    """The lines of a UTF-8 text file, split on LF only (other Unicode
     line breaks such as \\f or U+2028 stay inside their line). `path`
     may also be an open file such as sys.stdin, read as bytes where it
     has a binary buffer."""
@@ -124,15 +124,21 @@ def read_lines(path) -> list:
             data = Path(path).read_bytes()
         text = data if isinstance(data, str) else data.decode("utf-8")
     except FileNotFoundError:
-        raise CorpusError(f"no such corpus file: {path}")
+        raise CorpusError(f"no such file: {path}")
     except OSError as e:
-        raise CorpusError(f"cannot read corpus file {path}: {e.strerror}")
+        raise CorpusError(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
         raise CorpusError(f"{getattr(path, 'name', path)} is not valid UTF-8: {e}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def write_lines(path, lines):
+    """Write `lines` as a UTF-8 file, each ended by LF: the inverse of
+    read_lines."""
+    Path(path).write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
 
 
 def load_parallel(src_path, tgt_path, src_lang: LanguageTag,
@@ -167,10 +173,8 @@ def load_monolingual(path, lang: LanguageTag) -> MonolingualCorpus:
 
 
 def save_parallel(corpus: ParallelCorpus, src_path, tgt_path):
-    Path(src_path).write_text(
-        "".join(p.source + "\n" for p in corpus.pairs), encoding="utf-8")
-    Path(tgt_path).write_text(
-        "".join(p.target + "\n" for p in corpus.pairs), encoding="utf-8")
+    write_lines(src_path, [p.source for p in corpus.pairs])
+    write_lines(tgt_path, [p.target for p in corpus.pairs])
 
 
 def split(corpus: ParallelCorpus, train_n: int, dev_n: int, test_n: int,

@@ -1,19 +1,20 @@
 """Config-driven experiment runner: one run directory per experiment, a
 stage graph with persisted intermediates, and idempotent resumption.
 
-Every training sentence, real or back-translated, flows through the same
-stage order: normalize, pre-tokenize, transliterate (the one text chain,
-``pipeline.prep_tokens``), BPE, binarize. The prep stage admits pairs
-through ``corpus.load_parallel`` (a pair blank on one side is rejected
-and counted in the log); the bpe, vocab and binarize stages persist what
-``pipeline.build_context`` + ``encode_corpus`` build from the same pairs,
-through the same ``learn_bpe_models`` and ``build_side_vocab``. With
+Every split's pairs are admitted by ``corpus.load_parallel`` (a pair
+blank on one side is rejected and counted in the log). Train and dev go
+through the prep, bpe, vocab and binarize stages, which persist what
+``pipeline.build_context`` + ``encode_corpus`` build from the same pairs:
+the one text chain, ``pipeline.prep_tokens``, then ``learn_bpe_models``
+and ``build_side_vocab``. The decode stage writes the admitted test
+pairs' translations and references to ``outputs/test.hyp`` and
+``outputs/test.ref``; the score stage scores those two files. With
 back-translation on, the backtranslate stage runs the one
 back-translation path, ``backtranslation.backtranslate``, and the mix
 stage reads its pseudo files back with ``backtranslation.load_pseudo``.
-Every file is read with ``corpus.read_lines``, which splits on LF only.
-Completed stages are stamped and skipped on rerun; a rerun of a finished
-experiment performs no stage work.
+Files are read with ``corpus.read_lines`` (LF only) and written with
+``corpus.write_lines``. Completed stages are stamped and skipped on
+rerun; a rerun of a finished experiment performs no stage work.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .autodiff import fan_seed
 from .backtranslation import backtranslate, load_pseudo, mix
 from .bleu import score_files
 from .corpus import (LanguageTag, load_monolingual, load_parallel, read_lines,
-                     save_parallel)
+                     save_parallel, write_lines)
 from .decoding import DecodeConfig, translate_lines
 from .errors import ConfigError, ExperimentError
-from .models import build_model, config_for_arch
+from .models import ARCH_CONFIGS, build_model, config_for_arch
 from .pipeline import PipelineContext, build_side_vocab, learn_bpe_models, prep_tokens
 from .subword import BpeModel, Vocabulary, apply_bpe
 from .training import PRESETS, TrainConfig, load_checkpoint, preset, restore_model, train
@@ -81,7 +82,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides=None) -> "ExperimentConfig":
         pairs = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for raw in read_lines(path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -102,7 +103,7 @@ class ExperimentConfig:
             elif key.startswith("model."):
                 cfg.model_overrides[key[len("model."):]] = value
             elif key in fields and key not in ("train_overrides", "model_overrides"):
-                setattr(cfg, key, _coerce(value, fields[key].type))
+                setattr(cfg, key, _coerce(key, value, fields[key].type))
             else:
                 raise ConfigError(f"unknown configuration key {key!r}")
         return cfg
@@ -118,15 +119,14 @@ class ExperimentConfig:
                 lines.append(f"{f.name}={value}")
         return "\n".join(lines) + "\n"
 
-    def validate(self, need_test: bool = None):
+    def validate(self):
+        """Reject a bad config before any stage runs or the run directory exists."""
         if not self.name or any(c in self.name for c in "/\\ \t"):
             raise ConfigError(f"bad run name {self.name!r}")
         LanguageTag(self.src_lang)
         LanguageTag(self.tgt_lang)
         required = ["train_src", "train_tgt", "dev_src", "dev_tgt"]
-        if need_test is None:
-            need_test = bool(self.test_src or self.test_tgt)
-        if need_test:
+        if self.test_src or self.test_tgt:
             required += ["test_src", "test_tgt"]
         if self.backtranslation:
             required.append("mono")
@@ -138,6 +138,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: no such file {path}")
         if self.preset and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
+        if self.arch not in _ARCH_PRESET:
+            raise ConfigError(f"unknown architecture {self.arch!r}; "
+                              f"known: {sorted(_ARCH_PRESET)}")
+        self.model_config(self.train_config().dropout)
+        self.decode_config()
 
     # resolved sub-configs -------------------------------------------------
 
@@ -149,14 +154,17 @@ class ExperimentConfig:
         for key, value in self.train_overrides.items():
             if key not in fields:
                 raise ConfigError(f"unknown train key {key!r}")
-            setattr(base, key, _coerce(value, fields[key].type))
+            setattr(base, key, _coerce(f"train.{key}", value, fields[key].type))
         base.validate()
         return base
 
     def model_config(self, dropout: float):
+        fields = {f.name: f for f in dataclasses.fields(ARCH_CONFIGS[self.arch])}
         overrides = {"dropout": dropout}
         for key, value in self.model_overrides.items():
-            overrides[key] = _parse_literal(value)
+            if key not in fields:
+                raise ConfigError(f"unknown model key {key!r} for arch {self.arch!r}")
+            overrides[key] = _coerce(f"model.{key}", value, fields[key].type)
         return config_for_arch(self.arch, **overrides)
 
     def decode_config(self) -> DecodeConfig:
@@ -165,32 +173,22 @@ class ExperimentConfig:
                             length_penalty=self.length_penalty)
 
 
-def _coerce(value: str, ftype):
+def _coerce(key: str, value: str, ftype):
+    """`value` as the type of config field `key`; a bad value is a
+    ConfigError that names the key."""
     if not isinstance(value, str):
         return value
-    if ftype in ("int", int):
-        return int(value)
-    if ftype in ("float", float):
-        return float(value)
+    try:
+        if ftype in ("int", int):
+            return int(value)
+        if ftype in ("float", float):
+            return float(value)
+    except ValueError:
+        raise ConfigError(f"{key}: bad value {value!r}")
     if ftype in ("bool", bool):
         if value not in ("True", "False", "true", "false", "1", "0"):
-            raise ConfigError(f"bad boolean {value!r}")
+            raise ConfigError(f"{key}: bad boolean {value!r}")
         return value in ("True", "true", "1")
-    return value
-
-
-def _parse_literal(value: str):
-    if not isinstance(value, str):
-        return value
-    for caster in (int, float):
-        try:
-            return caster(value)
-        except ValueError:
-            pass
-    if value in ("True", "true"):
-        return True
-    if value in ("False", "false"):
-        return False
     return value
 
 
@@ -204,10 +202,6 @@ class _Logger:
         print(line, file=sys.stderr)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
-
-
-def _write_lines(path: Path, lines):
-    path.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
 
 
 def _read_ids(path: Path):
@@ -243,10 +237,9 @@ class _Runner:
 
     def do_backtranslate(self):
         cfg = self.cfg
-        src_lang, tgt_lang = LanguageTag(cfg.src_lang), LanguageTag(cfg.tgt_lang)
-        real = load_parallel(cfg.train_src, cfg.train_tgt, src_lang, tgt_lang)
-        dev = load_parallel(cfg.dev_src, cfg.dev_tgt, src_lang, tgt_lang)
-        mono = load_monolingual(cfg.mono, tgt_lang)
+        real = self._admit("backtranslate", "train", cfg.train_src, cfg.train_tgt)
+        dev = self._admit("backtranslate", "dev", cfg.dev_src, cfg.dev_tgt)
+        mono = load_monolingual(cfg.mono, real.tgt_lang)
         tc = cfg.train_config()
         tc.seed = fan_seed(cfg.seed, "reverse-train")
         self.log(f"backtranslate: training reverse model "
@@ -262,25 +255,23 @@ class _Runner:
 
     def do_mix(self):
         cfg = self.cfg
-        src_lang, tgt_lang = LanguageTag(cfg.src_lang), LanguageTag(cfg.tgt_lang)
-        real = load_parallel(cfg.train_src, cfg.train_tgt, src_lang, tgt_lang)
+        real = self._admit("mix", "train", cfg.train_src, cfg.train_tgt)
         bt_dir = self.dir / "bt"
-        pseudo = load_pseudo(bt_dir / "pseudo", src_lang, tgt_lang)
+        pseudo = load_pseudo(bt_dir / "pseudo", real.src_lang, real.tgt_lang)
         mixed = mix(real, pseudo, upsample_real=cfg.upsample_real,
                     seed=fan_seed(cfg.seed, "mix"))
         self.log(f"mix: {len(real)} real + {len(pseudo)} pseudo -> {len(mixed)}")
         save_parallel(mixed, bt_dir / "augmented.src", bt_dir / "augmented.tgt")
 
-    def _splits(self):
-        """(name, source file, target file) of every split the run uses;
-        with back-translation on, train is the mixed corpus."""
-        cfg, bt = self.cfg, self.dir / "bt"
-        train = ((bt / "augmented.src", bt / "augmented.tgt") if cfg.backtranslation
-                 else (cfg.train_src, cfg.train_tgt))
-        splits = [("train", *train), ("dev", cfg.dev_src, cfg.dev_tgt)]
-        if cfg.test_src:
-            splits.append(("test", cfg.test_src, cfg.test_tgt))
-        return splits
+    def _admit(self, stage, name, src_path, tgt_path):
+        """The pairs of one split that load_parallel admits; the count it
+        rejects is logged."""
+        corpus = load_parallel(src_path, tgt_path, LanguageTag(self.cfg.src_lang),
+                               LanguageTag(self.cfg.tgt_lang))
+        if corpus.n_rejected:
+            self.log(f"{stage}: {name}: {corpus.n_rejected} pairs rejected "
+                     f"(blank on one side)")
+        return corpus
 
     def _tokens(self, split_name, side):
         """The prepped token lists of one side of a split."""
@@ -288,19 +279,21 @@ class _Runner:
         return [ln.split() for ln in read_lines(path)]
 
     def do_prep(self):
-        cfg = self.cfg
+        """Prep train and dev; with back-translation on, train is the
+        mixed corpus."""
+        cfg, bt = self.cfg, self.dir / "bt"
         prep = self.dir / "prep"
         prep.mkdir(exist_ok=True)
-        src_lang, tgt_lang = LanguageTag(cfg.src_lang), LanguageTag(cfg.tgt_lang)
-        for name, src_path, tgt_path in self._splits():
-            corpus = load_parallel(src_path, tgt_path, src_lang, tgt_lang)
-            if corpus.n_rejected:
-                self.log(f"prep: {name}: {corpus.n_rejected} pairs rejected "
-                         f"(blank on one side)")
-            for side, lang, texts in (("src", src_lang, [p.source for p in corpus]),
-                                      ("tgt", tgt_lang, [p.target for p in corpus])):
+        train = ((bt / "augmented.src", bt / "augmented.tgt") if cfg.backtranslation
+                 else (cfg.train_src, cfg.train_tgt))
+        for name, src_path, tgt_path in (("train", *train),
+                                         ("dev", cfg.dev_src, cfg.dev_tgt)):
+            corpus = self._admit("prep", name, src_path, tgt_path)
+            for side, lang, texts in (
+                    ("src", corpus.src_lang, [p.source for p in corpus]),
+                    ("tgt", corpus.tgt_lang, [p.target for p in corpus])):
                 script = textnorm.script_for_lang(lang.code)
-                _write_lines(prep / f"{name}.{side}", [
+                write_lines(prep / f"{name}.{side}", [
                     " ".join(prep_tokens(text, script, cfg.transliterate,
                                          cfg.keep_joiners)) for text in texts])
 
@@ -326,9 +319,9 @@ class _Runner:
         out = self.dir / "bin"
         out.mkdir(exist_ok=True)
         sides = {"src": (ctx.bpe_src, ctx.src_vocab), "tgt": (ctx.bpe_tgt, ctx.tgt_vocab)}
-        for name, _, _ in self._splits():
+        for name in ("train", "dev"):
             for side, (bpe, vocab) in sides.items():
-                _write_lines(out / f"{name}.{side}.ids", [
+                write_lines(out / f"{name}.{side}.ids", [
                     " ".join(str(i) for i in vocab.encode(apply_bpe(bpe, tokens)))
                     for tokens in self._tokens(name, side)])
 
@@ -364,35 +357,39 @@ class _Runner:
                  f"dev BLEU {ckpt.dev_bleu:.4f}")
 
     def do_decode(self):
+        """Translate the admitted test sources into outputs/test.hyp, and
+        write their references, in the same order, to outputs/test.ref."""
+        test = self._admit("decode", "test", self.cfg.test_src, self.cfg.test_tgt)
         ctx = self._load_context()
         ckpt = load_checkpoint(self.dir / "best.dmt")
         model = restore_model(ckpt, ctx.src_vocab, ctx.tgt_vocab)
         out = self.dir / "outputs"
         out.mkdir(exist_ok=True)
-        lines = read_lines(self.cfg.test_src)
-        hyps = translate_lines(model, lines, ctx, self.cfg.decode_config())
-        _write_lines(out / "test.hyp", hyps)
+        hyps = translate_lines(model, [p.source for p in test], ctx,
+                               self.cfg.decode_config())
+        write_lines(out / "test.hyp", hyps)
+        write_lines(out / "test.ref", [p.target for p in test])
 
     def do_score(self):
         out = self.dir / "outputs"
-        hyp, ref = out / "test.hyp", Path(self.cfg.test_tgt)
+        hyp, ref = out / "test.hyp", out / "test.ref"
         surface = "native-script"
         if not self.cfg.detranslit_score:
             # score on the pooled Devanagari surface instead
             surface = "devanagari"
             tgt_script = textnorm.script_for_lang(self.cfg.tgt_lang)
             for in_path, name in ((hyp, "test.hyp.dev"), (ref, "test.ref.dev")):
-                _write_lines(out / name,
-                             [textnorm.transliterate(ln, tgt_script,
-                                                     textnorm.DEVANAGARI)
-                              for ln in read_lines(in_path)])
+                write_lines(out / name,
+                            [textnorm.transliterate(ln, tgt_script,
+                                                    textnorm.DEVANAGARI)
+                             for ln in read_lines(in_path)])
             hyp, ref = out / "test.hyp.dev", out / "test.ref.dev"
         report = score_files(hyp, ref, report_path=out / "test.score.tsv")
-        (out / "score.meta").write_text(f"surface={surface}\n", encoding="utf-8")
+        write_lines(out / "score.meta", [f"surface={surface}"])
         pair = f"{self.cfg.src_lang}-{self.cfg.tgt_lang}"
-        (self.dir / "results.tsv").write_text(
-            "system\tpair\tmean_sentence_bleu\n"
-            f"{self.cfg.arch}\t{pair}\t{report.mean:.4f}\n", encoding="utf-8")
+        write_lines(self.dir / "results.tsv",
+                    ["system\tpair\tmean_sentence_bleu",
+                     f"{self.cfg.arch}\t{pair}\t{report.mean:.4f}"])
         self.log(f"score: mean sentence BLEU {report.mean:.4f} "
                  f"(surface: {surface})")
 

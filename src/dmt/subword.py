@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from .corpus import read_lines, write_lines
 from .errors import VocabError
 from .textnorm import TokenizedSentence
 
@@ -50,24 +50,22 @@ class BpeModel:
         self._cache = {}
 
     def save(self, path):
-        lines = [self.version]
-        lines += [f"{a} {b}" for a, b in self.merges]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, [self.version] + [f"{a} {b}" for a, b in self.merges])
 
     @classmethod
     def load(cls, path) -> "BpeModel":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
         if not lines or not lines[0].startswith("dmt-bpe"):
             raise VocabError(f"{path} is not a merge file (missing header)")
         merges = []
         for ln in lines[1:]:
-            if not ln:
+            parts = ln.split()  # any whitespace, so a CRLF file loads the same
+            if not parts:
                 continue
-            parts = ln.split(" ")
             if len(parts) != 2:
                 raise VocabError(f"malformed merge line {ln!r}")
             merges.append((parts[0], parts[1]))
-        return cls(merges, version=lines[0])
+        return cls(merges, version=lines[0].rstrip())
 
     def fingerprint(self) -> str:
         payload = "\n".join(f"{a} {b}" for a, b in self.merges)
@@ -249,13 +247,13 @@ class Vocabulary:
     def save(self, path):
         lines = [f"{t}\t{self.counts.get(t, 0)}"
                  for t in self.token_of[len(SPECIAL_TOKENS):]]
-        Path(path).write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        write_lines(path, lines)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
         token_of = list(SPECIAL_TOKENS)
         counts = {}
-        for ln in Path(path).read_text(encoding="utf-8").splitlines():
+        for ln in read_lines(path):
             if not ln:
                 continue
             try:

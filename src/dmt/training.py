@@ -420,6 +420,8 @@ def load_checkpoint(path) -> Checkpoint:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise CheckpointError(f"no such checkpoint: {path}")
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}")
     return Checkpoint.from_bytes(raw)
 
 

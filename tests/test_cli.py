@@ -85,11 +85,30 @@ class TestInputLines:
         assert code == 0
         assert out == "a b\nc d\n"
 
-    @pytest.mark.parametrize("name", ["missing", "."], ids=["missing", "directory"])
+    TRANSLATE = ["translate", "--bpe-model", "{m}", "--vocab-src", "{v}",
+                 "--vocab-tgt", "{v}", "--src-script", "kannada",
+                 "--tgt-script", "kannada", "--checkpoint"]
+
+    @pytest.mark.parametrize("argv,name", [
+        (["prep", "tokenize", "--in"], "missing"),
+        (["prep", "tokenize", "--in"], "."),
+        (["run", "--config"], "missing"),
+        (["bpe", "apply", "--model"], "missing"),
+        (["bpe", "apply", "--model"], "bad.txt"),
+        (["bpe", "apply", "--model"], "."),
+        (["binarize", "--vocab"], "missing"),
+        (["binarize", "--vocab"], "bad.txt"),
+        (TRANSLATE, "."),
+    ], ids=["missing", "directory", "run-config-missing", "bpe-model-missing",
+            "bpe-model-non-utf8", "bpe-model-directory", "vocab-missing",
+            "vocab-non-utf8", "checkpoint-directory"])
     def test_unreadable_input_file_is_a_one_line_error(self, capsys, monkeypatch,
-                                                       tmp_path, name):
-        code, out, err = run_cli(capsys, monkeypatch,
-                                 ["prep", "tokenize", "--in", str(tmp_path / name)])
+                                                       tmp_path, argv, name):
+        (tmp_path / "bad.txt").write_bytes(b"a \xff b\n")
+        (tmp_path / "m").write_text("dmt-bpe v1\n", encoding="utf-8")
+        (tmp_path / "v").write_text("a\t1\n", encoding="utf-8")
+        argv = [a.format(m=tmp_path / "m", v=tmp_path / "v") for a in argv]
+        code, out, err = run_cli(capsys, monkeypatch, argv + [str(tmp_path / name)])
         assert code == 1
         assert out == ""
         assert err.startswith("dmt: error:") and len(err.strip().splitlines()) == 1

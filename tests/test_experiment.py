@@ -3,7 +3,7 @@
 import pytest
 
 from dmt.autodiff import RngState
-from dmt.corpus import LanguageTag, load_parallel, read_lines
+from dmt.corpus import LanguageTag, load_parallel, read_lines, write_lines
 from dmt.errors import ConfigError, ExperimentError
 from dmt.experiment import ExperimentConfig, _Runner, aggregate_report, run_experiment
 from dmt.pipeline import build_context, encode_corpus
@@ -168,16 +168,23 @@ class TestRunExperiment:
         assert "prep: train: 2 pairs rejected" in log
         assert "prep: dev: 2 pairs rejected" in log
 
-    def test_validation_before_any_stage(self, tmp_path):
-        cfg = ExperimentConfig.from_pairs({
-            "name": "ghost", "src_lang": "kn", "tgt_lang": "ml",
-            "train_src": str(tmp_path / "nope.kn"),
-            "train_tgt": str(tmp_path / "nope.ml"),
-            "dev_src": str(tmp_path / "nope.kn"),
-            "dev_tgt": str(tmp_path / "nope.ml"),
-        })
+    @pytest.mark.parametrize("bad", [
+        {"train_src": "nope.kn"}, {"beam": "abc"}, {"beam": "0"},
+        {"train.epochs": "0"}, {"train.epochs": "abc"},
+        {"arch": "conv", "model.dim": "abc"}, {"model.bogus": "1"}, {"arch": "foo"},
+    ], ids=["missing-file", "beam-abc", "beam-0", "epochs-0", "epochs-abc",
+            "model-dim-abc", "model-bogus", "arch-foo"])
+    def test_validation_before_any_stage(self, tmp_path, bad):
+        for name in ("c.kn", "c.ml"):
+            (tmp_path / name).write_text("a b\n", encoding="utf-8")
+        pairs = {"name": "ghost", "src_lang": "kn", "tgt_lang": "ml",
+                 "train_src": "c.kn", "train_tgt": "c.ml",
+                 "dev_src": "c.kn", "dev_tgt": "c.ml", **bad}
+        for key in ("train_src", "train_tgt", "dev_src", "dev_tgt"):
+            pairs[key] = str(tmp_path / pairs[key])
         with pytest.raises(ConfigError):
-            run_experiment(cfg, runs_dir=tmp_path / "runs")
+            run_experiment(ExperimentConfig.from_pairs(pairs),
+                           runs_dir=tmp_path / "runs")
         assert not (tmp_path / "runs" / "ghost").exists()
 
 
@@ -316,18 +323,49 @@ class TestBackTranslationRun:
         assert "nothing to do" in rerun
 
 
+class TestTestSplitAdmission:
+    def test_decode_and_score_only_the_admitted_pairs(self, tmp_path):
+        rng = RngState(5)
+        for name, n in (("train", 60), ("dev", 8), ("test", 16)):
+            write_cipher(tmp_path / f"{name}.kn", tmp_path / f"{name}.ml", rng, n)
+        src, tgt = read_lines(tmp_path / "test.kn"), read_lines(tmp_path / "test.ml")
+        src[3] = ""           # blank on one side: rejected
+        src[7] = tgt[7] = ""  # blank on both sides: dropped
+        write_lines(tmp_path / "test.kn", src)
+        write_lines(tmp_path / "test.ml", tgt)
+        cfg = ExperimentConfig.from_pairs({
+            "name": "blank", "src_lang": "kn", "tgt_lang": "ml",
+            **{f"{name}_{side}": str(tmp_path / f"{name}.{lang}")
+               for name in ("train", "dev", "test")
+               for side, lang in (("src", "kn"), ("tgt", "ml"))},
+            "bpe_merges": "30", "arch": "conv", "beam": "2", "seed": "1",
+            "model.enc_layers": "1", "model.dec_layers": "1", "model.dim": "16",
+            "train.learning_rate": "0.01", "train.batch_size": "16",
+            "train.max_tokens": "0", "train.epochs": "1",
+        })
+        run_dir = run_experiment(cfg, runs_dir=tmp_path / "runs")
+        out = run_dir / "outputs"
+        admitted = [t for i, t in enumerate(tgt) if i not in (3, 7)]
+        assert read_lines(out / "test.ref") == admitted
+        assert len(read_lines(out / "test.hyp")) == len(admitted) == 14
+        # one row per admitted pair, then the summary line
+        assert len(read_lines(out / "test.score.tsv")) == len(admitted) + 1
+        log = (run_dir / "log.txt").read_text(encoding="utf-8")
+        assert "decode: test: 1 pairs rejected (blank on one side)" in log
+        for stage_dir in ("prep", "bin"):
+            assert not list((run_dir / stage_dir).glob("test.*")), stage_dir
+
+
 class TestScoringSurface:
     def run_score_stage(self, tmp_path, detranslit_score):
         from dmt.experiment import _Runner
         run_dir = tmp_path / "run"
         (run_dir / "outputs").mkdir(parents=True)
-        (run_dir / "outputs" / "test.hyp").write_text(
-            "ಕ ಖ ಗ ಕ\n", encoding="utf-8")  # Kannada
-        ref = tmp_path / "ref.ml"
-        ref.write_text("ಕ ಖ ಗ ಕ\n", encoding="utf-8")
+        for name in ("test.hyp", "test.ref"):
+            (run_dir / "outputs" / name).write_text(
+                "ಕ ಖ ಗ ಕ\n", encoding="utf-8")  # Kannada
         cfg = ExperimentConfig.from_pairs({
             "name": "surf", "src_lang": "kn", "tgt_lang": "tu",
-            "test_tgt": str(ref),
             "detranslit_score": str(detranslit_score),
         })
         runner = _Runner(cfg, run_dir)

@@ -260,6 +260,9 @@ class TestModelSerialization:
         assert loaded.merges == model.merges
         loaded.save(tmp_path / "bpe2.model")
         assert (tmp_path / "bpe2.model").read_bytes() == path.read_bytes()
+        crlf = tmp_path / "crlf.model"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert BpeModel.load(crlf) == model
 
     def test_header_required(self, tmp_path):
         bad = tmp_path / "bad.model"
