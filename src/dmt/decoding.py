@@ -1,19 +1,20 @@
-"""Autoregressive inference: greedy and beam search with length-normalized
-scores, plus the full text-to-text translation pipeline.
+"""Autoregressive inference: beam search with length-normalized scores
+(greedy is beam 1), and the full text-to-text translation pipeline.
 
-Search drives a model through the incremental contract of ``models``:
-``init_state(memory)``, then ``step(state, last_ids)`` once per output
-position, with ``state.select(rows)`` carrying beam parents forward. A
-model that implements only ``encode``/``decode_step`` is wrapped in
-RecomputeDecoder, which re-runs the whole prefix on every step. Greedy
-decoding of many sentences (``translate_lines``, dev BLEU in training)
-goes through ``greedy_decode_many``, GREEDY_CHUNK sentences per batch.
-``translate_lines`` is the one text -> text loop; beam search runs
-``beam_decode`` once per line.
+One search loop, ``_search``, drives a model through the incremental
+contract of ``models``: ``init_state(memory)``, then ``step(state,
+last_ids)`` once per position. Its rows are sentences x beam, and
+``state.select(rows)`` carries parents forward and drops finished
+hypotheses and sentences. A model with only ``encode``/``decode_step`` is
+wrapped in RecomputeDecoder, which re-runs the whole prefix every step.
+``greedy_decode_batch``, ``greedy_decode`` and ``beam_decode`` wrap the
+search; ``decode_many`` (``translate_lines``, dev BLEU in training) runs
+it DECODE_CHUNK sentences at a time.
 
-Hypothesis ordering is deterministic everywhere: score ties break to
-higher raw log-probability, then shorter output, then lexicographically
-smaller id sequence; token-level argmax ties break to the lowest id.
+Ordering is deterministic: a sentence keeps its top candidates by raw
+log-probability, ties to the lower parent row, then the lower token id;
+finished hypotheses rank by normalized score, then raw log-probability,
+then shorter output, then the lexicographically smaller id sequence.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .pipeline import PipelineContext
 from .subword import BOS_ID, EOS_ID, PAD_ID
 
 __all__ = ["DecodeConfig", "Hypothesis", "RecomputeDecoder", "greedy_decode",
-           "greedy_decode_batch", "greedy_decode_many", "beam_decode",
-           "translate_lines"]
+           "greedy_decode_batch", "decode_many", "beam_decode", "translate_lines"]
 
-GREEDY_CHUNK = 64  # sentences per greedy_decode_batch call
+DECODE_CHUNK = 64  # sentences per search in decode_many
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,21 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class _PrefixState:
-    memory: object                # encoder memory of the source batch
+    memory: object                # encoder memory, one row per hypothesis
     prefix: np.ndarray = None     # [B, t] ids fed so far
-    tiled: bool = False           # rows are hypotheses of one source sentence
 
     def select(self, rows) -> "_PrefixState":
-        if not self.tiled and len(self.prefix) != 1:
-            raise ConfigError("recompute decoding reorders the hypotheses of "
-                              "one source sentence only")
-        return _PrefixState(self.memory, self.prefix[np.asarray(rows, dtype=np.int64)],
-                            tiled=True)
+        rows = np.asarray(rows, dtype=np.int64)
+        return _PrefixState(self.memory.select(rows), self.prefix[rows])
 
 
 class RecomputeDecoder:
     """The incremental contract for a model that implements only
     ``encode``/``decode_step``: the state is the encoder memory and the
-    prefix, and every step re-runs ``decode_step`` over the whole prefix,
-    so a step costs time linear in its position. It decodes duck-typed
-    models, and it is the reference the models' own ``step`` is tested
-    against."""
+    prefix of each row, and every step re-runs ``decode_step`` over the
+    whole prefix, so a step costs time linear in its position. It decodes
+    duck-typed models, and it is the reference the models' own ``step``
+    is tested against."""
 
     def __init__(self, model):
         self.model = model
@@ -109,9 +105,8 @@ class RecomputeDecoder:
         last = np.asarray(last_ids, dtype=np.int64)[:, None]
         prefix = last if state.prefix is None else np.concatenate(
             [state.prefix, last], axis=1)
-        memory = state.memory.tile(len(prefix)) if state.tiled else state.memory
-        logits = self.model.decode_step(memory, prefix).data[:, -1, :]
-        return logits, _PrefixState(state.memory, prefix, state.tiled)
+        logits = self.model.decode_step(state.memory, prefix).data[:, -1, :]
+        return logits, _PrefixState(state.memory, prefix)
 
 
 def _incremental(model):
@@ -134,54 +129,101 @@ def _as_batch(src_ids) -> np.ndarray:
     return arr[None, :] if arr.ndim == 1 else arr
 
 
+def _top(score: np.ndarray, sent: np.ndarray, beam: int):
+    """Each sentence's top ``beam`` expansions from [rows, V] scores whose
+    rows are grouped by sentence (``sent``): (parent rows, tokens, scores),
+    by sentence, then score descending, then parent row, then token id."""
+    if beam == 1:  # one row per sentence; argmax takes the lowest id on ties
+        rows, toks = np.arange(len(score)), score.argmax(axis=1)
+        return rows, toks, score[rows, toks]
+    vocab = score.shape[1]
+    b = min(beam, vocab)
+    # a row's top b, ties included, holds all its candidates in its sentence's
+    # top beam; a row is all NaN or has none, and a NaN threshold keeps it all
+    thr = np.partition(score, vocab - b, axis=1)[:, vocab - b]
+    cand = np.flatnonzero(~(score < thr[:, None]))
+    flat, s = score.reshape(-1)[cand], sent[cand // vocab]
+    order = np.lexsort((-flat, s))  # stable: (row, token) order within ties
+    s = s[order]
+    order = order[np.arange(len(s)) - np.searchsorted(s, s) < beam]
+    rows, toks = np.divmod(cand[order], vocab)
+    return rows, toks, flat[order]
+
+
+def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
+    """Beam search over every row of a padded source batch at once; one
+    n-best list per source row, best first.
+
+    Every live hypothesis of every sentence is a row of one decoder
+    state, a sentence's rows kept together. Each step expands every row
+    by every token, and each sentence keeps its top ``beam`` candidates
+    by raw log-probability (ties: parent row, then token id). A candidate
+    that ends in EOS or reaches its sentence's length cap joins that
+    sentence's done set. A sentence stops when none of its candidates
+    lives on, or when its best finished normalized score can no longer be
+    beaten; its rows then leave the state. Greedy search is beam 1.
+    """
+    alpha = config.length_penalty
+    n = src.shape[0]
+    caps = np.array([config.resolved_max_len(int(k)) for k in (~pad_mask).sum(axis=1)])
+    bound = np.array([float(c) ** alpha for c in caps])  # best score / bound: best possible
+    done = [[] for _ in range(n)]
+    best_done = np.full(n, np.nan)  # best finished normalized score; NaN: none yet
+    decoder = _incremental(model)
+    with ad.no_grad():
+        state = decoder.init_state(model.encode(src, pad_mask))
+        sent = np.arange(n)                     # the sentence of each live row
+        ids = np.zeros((n, 0), dtype=np.int64)  # the tokens of each live row
+        logprob = np.zeros(n)
+        last = np.full(n, BOS_ID, dtype=np.int64)
+        while len(sent):
+            logits, state = decoder.step(state, last)
+            # expand outlives the step: freed before the next one is made, its
+            # pages went back to the system and faulted in again every step
+            expand = _step_logprobs(logits)
+            expand += logprob[:, None]
+            rows, toks, score = _top(expand, sent, beam)
+            s = sent[rows]
+            ids = np.concatenate([ids[rows], toks[:, None]], axis=1)
+            ended = (toks == EOS_ID) | (ids.shape[1] >= caps[s])
+            for i in np.flatnonzero(ended):
+                hyp = Hypothesis(tuple(ids[i].tolist()), float(score[i]), alpha)
+                done[s[i]].append(hyp)
+                best_done[s[i]] = np.fmax(best_done[s[i]], hyp.normalized_score)
+            live = ~ended
+            best_live = np.full(n, -np.inf)
+            np.maximum.at(best_live, s[live], score[live])
+            keep = live & ~(best_done >= best_live / bound)[s]
+            parents = rows[keep]
+            if len(parents) and not np.array_equal(parents, np.arange(len(sent))):
+                state = state.select(parents)
+            sent, ids, logprob, last = s[keep], ids[keep], score[keep], toks[keep]
+    return [sorted(n_best, key=Hypothesis.sort_key, reverse=True) for n_best in done]
+
+
 def greedy_decode_batch(model, src_batch, src_pad_mask=None,
                         config: DecodeConfig = None) -> list:
     """Greedy decoding of a padded source batch; one Hypothesis per row."""
-    config = config or DecodeConfig(beam=1)
     src = _as_batch(src_batch)
     if src_pad_mask is None:
         src_pad_mask = src == PAD_ID
-    b = src.shape[0]
-    lengths = (~src_pad_mask).sum(axis=1)
-    caps = np.array([config.resolved_max_len(int(n)) for n in lengths])
-    decoder = _incremental(model)
-    with ad.no_grad():
-        state = decoder.init_state(model.encode(src, src_pad_mask))
-        nxt = np.full(b, BOS_ID, dtype=np.int64)
-        ids = [[] for _ in range(b)]
-        logprob = np.zeros(b)
-        done = np.zeros(b, dtype=bool)
-        for _ in range(int(caps.max())):
-            logits, state = decoder.step(state, nxt)
-            logp = _step_logprobs(logits)
-            choice = logp.argmax(axis=1)  # first max = lowest id
-            nxt = np.full(b, PAD_ID, dtype=np.int64)
-            for i in range(b):
-                if done[i]:
-                    continue
-                v = int(choice[i])
-                ids[i].append(v)
-                logprob[i] += logp[i, v]
-                nxt[i] = v
-                if v == EOS_ID or len(ids[i]) >= caps[i]:
-                    done[i] = True
-            if done.all():
-                break
-    return [Hypothesis(tuple(s), float(lp), config.length_penalty)
-            for s, lp in zip(ids, logprob)]
+    return [n_best[0] for n_best in
+            _search(model, src, src_pad_mask, config or DecodeConfig(beam=1), 1)]
 
 
-def greedy_decode_many(model, id_lists, config: DecodeConfig = None) -> list:
-    """Greedy decoding of many id lists, GREEDY_CHUNK at a time, each chunk
-    padded to its longest row; one Hypothesis per list, in order."""
+def decode_many(model, id_lists, config: DecodeConfig) -> list:
+    """Beam search over many id lists, DECODE_CHUNK at a time, each chunk
+    padded to its longest row; the best Hypothesis of each list, in
+    order."""
     hyps = []
-    for lo in range(0, len(id_lists), GREEDY_CHUNK):
-        chunk = id_lists[lo:lo + GREEDY_CHUNK]
+    for lo in range(0, len(id_lists), DECODE_CHUNK):
+        chunk = id_lists[lo:lo + DECODE_CHUNK]
         batch = np.full((len(chunk), max(len(ids) for ids in chunk)), PAD_ID,
                         dtype=np.int64)
         for r, ids in enumerate(chunk):
             batch[r, :len(ids)] = ids
-        hyps += greedy_decode_batch(model, batch, config=config)
+        hyps += [n_best[0] for n_best in
+                 _search(model, batch, batch == PAD_ID, config, config.beam)]
     return hyps
 
 
@@ -192,64 +234,20 @@ def greedy_decode(model, src_ids, config: DecodeConfig = None) -> Hypothesis:
 
 
 def beam_decode(model, src_ids, config: DecodeConfig = None):
-    """Beam search over one source sentence.
-
-    Returns (best, n_best): live hypotheses expand by every token, the
-    global top-beam by raw log-probability survive, EOS moves a hypothesis
-    to the done set, and search stops early once the best finished
-    normalized score can no longer be beaten.
-    """
+    """Beam search over one source sentence; returns (best, n_best), the
+    finished hypotheses best first."""
     config = config or DecodeConfig()
-    alpha = config.length_penalty
     src = _as_batch(src_ids)
     if src.shape[0] != 1:
         raise ConfigError("beam_decode works on a single sentence")
-    max_len = config.resolved_max_len(int((src != PAD_ID).sum()))
-    decoder = _incremental(model)
-
-    with ad.no_grad():
-        state = decoder.init_state(model.encode(src))
-        live = [Hypothesis((), 0.0, alpha)]
-        last = np.array([BOS_ID], dtype=np.int64)
-        done = []
-        while True:
-            k = len(live)
-            logits, state = decoder.step(state, last)
-            logp = _step_logprobs(logits)
-            vocab = logp.shape[1]
-            scores = np.array([h.logprob for h in live])[:, None] + logp
-            flat = scores.reshape(-1)
-            rows = np.repeat(np.arange(k), vocab)
-            toks = np.tile(np.arange(vocab), k)
-            order = np.lexsort((toks, rows, -flat))[:config.beam]
-            new_live, parents = [], []
-            for pick in order:
-                i, v = int(rows[pick]), int(toks[pick])
-                hyp = Hypothesis(live[i].ids + (v,), float(flat[pick]), alpha)
-                if v == EOS_ID or len(hyp.ids) >= max_len:
-                    done.append(hyp)
-                else:
-                    new_live.append(hyp)
-                    parents.append(i)
-            live = new_live
-            if not live:
-                break
-            if done:
-                best_done = max(h.normalized_score for h in done)
-                best_possible = max(h.logprob for h in live) / max_len ** alpha
-                if best_done >= best_possible:
-                    break
-            state = state.select(parents)
-            last = np.array([h.ids[-1] for h in live], dtype=np.int64)
-    done.sort(key=Hypothesis.sort_key, reverse=True)
-    return done[0], done
+    n_best = _search(model, src, src == PAD_ID, config, config.beam)[0]
+    return n_best[0], n_best
 
 
 def translate_lines(model, lines, ctx: PipelineContext,
                     config: DecodeConfig = None) -> list:
     """The full pipeline over many lines: normalize, tokenize,
-    transliterate, BPE, decode (greedy batched through
-    greedy_decode_many, beam search one line at a time), un-BPE,
+    transliterate, BPE, decode (through decode_many), un-BPE,
     detokenize, detransliterate back to the target script. A line with
     no subwords translates to ""."""
     config = config or DecodeConfig()
@@ -261,10 +259,6 @@ def translate_lines(model, lines, ctx: PipelineContext,
         if subwords:  # encode() appends EOS, so test emptiness before it
             rows.append(i)
             todo.append(ctx.src_vocab.encode(subwords))
-    if config.beam == 1:
-        hyps = greedy_decode_many(model, todo, config)
-    else:
-        hyps = [beam_decode(model, ids, config)[0] for ids in todo]
-    for i, hyp in zip(rows, hyps):
+    for i, hyp in zip(rows, decode_many(model, todo, config)):
         out[i] = ctx.target_text(list(hyp.output_ids))
     return out

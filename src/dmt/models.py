@@ -14,8 +14,8 @@ gives at the newest position, at a cost that does not grow with the
 prefix. The LSTM carries (h, c), the transformer caches per-layer
 self-attention keys and values and projects the encoder memory for
 cross-attention once, and the conv decoder keeps each layer's last
-k - 1 inputs. ``state.select(rows)`` reorders or repeats rows, as beam
-search does with parent hypotheses. Models that implement only
+k - 1 inputs. ``state.select(rows)`` reorders, repeats or drops rows, as
+search does with parent and finished hypotheses. Models that implement only
 ``encode``/``decode_step`` decode through ``decoding.RecomputeDecoder``,
 which re-runs the whole prefix every step.
 """
@@ -149,16 +149,17 @@ class EncoderMemory:
     c0: Tensor = None
     fully_masked: np.ndarray = None  # [B]; True where every position is PAD
 
+    def select(self, rows) -> "EncoderMemory":
+        """The memory of the given rows, in order; rows may repeat."""
+        rows = np.asarray(rows, dtype=np.int64)
+        pick = lambda t: None if t is None else Tensor(t.data[rows])
+        return EncoderMemory(states=pick(self.states), pad_mask=self.pad_mask[rows],
+                             h0=pick(self.h0), c0=pick(self.c0),
+                             fully_masked=self.fully_masked[rows])
+
     def tile(self, k: int) -> "EncoderMemory":
-        """Repeat each batch row k times (for beam expansion); read-only."""
-        def rep_t(t):
-            return None if t is None else Tensor(np.repeat(t.data, k, axis=0))
-        return EncoderMemory(
-            states=rep_t(self.states),
-            pad_mask=np.repeat(self.pad_mask, k, axis=0),
-            h0=rep_t(self.h0), c0=rep_t(self.c0),
-            fully_masked=np.repeat(self.fully_masked, k, axis=0),
-        )
+        """Repeat each batch row k times."""
+        return self.select(np.repeat(np.arange(len(self.pad_mask)), k))
 
 
 class DecodeState:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import math
 import shutil
 import struct
 import time
@@ -23,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RngState, fan_seed
 from .bleu import BleuConfig, score_corpus
-from .decoding import greedy_decode_many
+from .decoding import DecodeConfig, decode_many
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      FingerprintError)
 from .models import ARCH_CONFIGS, build_model, label_smoothed_loss
@@ -323,13 +324,21 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Checkpoint":
-        view = memoryview(raw)
-        if bytes(view[:4]) != _MAGIC:
+        """Parse a checkpoint; any malformed input is a CheckpointError."""
+        if bytes(raw[:4]) != _MAGIC:
             raise CheckpointError("bad magic bytes; not a checkpoint file")
+        try:
+            return cls._parse(memoryview(raw))
+        except (struct.error, ValueError, KeyError, TypeError, ArithmeticError,
+                ConfigError) as e:
+            raise CheckpointError(f"malformed checkpoint: {type(e).__name__}: {e}") from None
+
+    @classmethod
+    def _parse(cls, view) -> "Checkpoint":
         off = 4
         (meta_len,) = struct.unpack_from("<Q", view, off)
         off += 8
-        if off + meta_len > len(raw):
+        if off + meta_len > len(view):
             raise CheckpointError("truncated checkpoint (metadata)")
         meta = {}
         for line in bytes(view[off:off + meta_len]).decode("utf-8").splitlines():
@@ -343,26 +352,22 @@ class Checkpoint:
         off += 4
         tensors = {}
         for _ in range(n_tensors):
-            try:
-                (name_len,) = struct.unpack_from("<I", view, off)
-                off += 4
-                name = bytes(view[off:off + name_len]).decode("utf-8")
-                off += name_len
-                dtype_tag, rank = struct.unpack_from("<BB", view, off)
-                off += 2
-                if dtype_tag != _DTYPE_F64:
-                    raise CheckpointError(f"unknown dtype tag {dtype_tag}")
-                shape = []
-                for _ in range(rank):
-                    (ext,) = struct.unpack_from("<Q", view, off)
-                    off += 8
-                    shape.append(ext)
-                count = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(view, dtype="<f8", count=count, offset=off)
-                off += count * 8
-                tensors[name] = arr.reshape(shape).astype(np.float64)
-            except (struct.error, ValueError) as e:
-                raise CheckpointError(f"truncated checkpoint: {e}")
+            (name_len,) = struct.unpack_from("<I", view, off)
+            off += 4
+            name = bytes(view[off:off + name_len]).decode("utf-8")
+            off += name_len
+            dtype_tag, rank = struct.unpack_from("<BB", view, off)
+            off += 2
+            if dtype_tag != _DTYPE_F64:
+                raise CheckpointError(f"unknown dtype tag {dtype_tag}")
+            shape = struct.unpack_from(f"<{rank}Q", view, off)
+            off += 8 * rank
+            count = math.prod(shape)
+            arr = np.frombuffer(view, dtype="<f8", count=count, offset=off)
+            off += count * 8
+            tensors[name] = arr.reshape(shape).astype(np.float64)
+        if off != len(view):
+            raise CheckpointError(f"{len(view) - off} trailing bytes after the last tensor")
 
         arch = meta["arch"]
         model_config = _parse_config(ARCH_CONFIGS[arch], "cfg", meta)
@@ -489,7 +494,7 @@ def evaluate_bleu(model, data, tgt_vocab) -> float:
     dev targets on the un-BPE'd, detokenized surface."""
     if not data:
         return 0.0
-    hyps = greedy_decode_many(model, [s for s, _ in data])
+    hyps = decode_many(model, [s for s, _ in data], DecodeConfig(beam=1))
     cands = [_score_tokens(tgt_vocab, hyp.output_ids) for hyp in hyps]
     refs = [[_score_tokens(tgt_vocab, t)] for _, t in data]
     return score_corpus(cands, refs, BleuConfig()).mean

@@ -99,14 +99,20 @@ class TestInputLines:
         (["binarize", "--vocab"], "missing"),
         (["binarize", "--vocab"], "bad.txt"),
         (TRANSLATE, "."),
+        (TRANSLATE, "cut.dmt"),
+        (TRANSLATE, "meta.dmt"),
     ], ids=["missing", "directory", "run-config-missing", "bpe-model-missing",
             "bpe-model-non-utf8", "bpe-model-directory", "vocab-missing",
-            "vocab-non-utf8", "checkpoint-directory"])
+            "vocab-non-utf8", "checkpoint-directory", "checkpoint-truncated-length",
+            "checkpoint-non-utf8-metadata"])
     def test_unreadable_input_file_is_a_one_line_error(self, capsys, monkeypatch,
                                                        tmp_path, argv, name):
         (tmp_path / "bad.txt").write_bytes(b"a \xff b\n")
         (tmp_path / "m").write_text("dmt-bpe v1\n", encoding="utf-8")
         (tmp_path / "v").write_text("a\t1\n", encoding="utf-8")
+        # a metadata length cut short; three bytes of non-UTF-8 metadata
+        (tmp_path / "cut.dmt").write_bytes(b"DMT1\x05\x00")
+        (tmp_path / "meta.dmt").write_bytes(b"DMT1\x03" + bytes(7) + b"\xff\xfe\xfd")
         argv = [a.format(m=tmp_path / "m", v=tmp_path / "v") for a in argv]
         code, out, err = run_cli(capsys, monkeypatch, argv + [str(tmp_path / name)])
         assert code == 1

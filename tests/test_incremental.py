@@ -1,14 +1,16 @@
 """Incremental decoding: every architecture's init_state/step against the
-teacher-forced decode_step it must reproduce, and greedy and beam search
-through step against the full-recompute RecomputeDecoder."""
+teacher-forced decode_step it must reproduce, greedy and beam search
+through step against the full-recompute RecomputeDecoder, and sentences
+searched together against each searched alone."""
 
 import numpy as np
 import pytest
 
 import dmt.autodiff as ad
 from dmt.autodiff import RngState
-from dmt.decoding import DecodeConfig, RecomputeDecoder, beam_decode, greedy_decode_batch
-from dmt.errors import ConfigError, ShapeError
+from dmt.decoding import (DecodeConfig, RecomputeDecoder, beam_decode, decode_many,
+                          greedy_decode, greedy_decode_batch)
+from dmt.errors import ShapeError
 from dmt.models import build_model, config_for_arch
 from dmt.subword import BOS_ID, PAD_ID
 
@@ -119,9 +121,53 @@ def test_search_outputs_equal_the_recompute_path(arch):
                 assert abs(f.logprob - s.logprob) <= TOL
 
 
-def test_recompute_select_is_limited_to_one_source_sentence():
-    decoder = RecomputeDecoder(random_table_model(3, 8))
-    state = decoder.init_state(decoder.encode(np.array([[4, 5], [6, 7]])))
-    _, state = decoder.step(state, np.array([BOS_ID, BOS_ID]))
-    with pytest.raises(ConfigError):
-        state.select([1, 0])
+@pytest.mark.parametrize("case", ["table"] + ARCHS)
+def test_recompute_select_reorders_rows_across_sentences(case):
+    model = random_table_model(3, 12) if case == "table" else tiny_model(case, seed=2)
+    decoder = RecomputeDecoder(model)
+    src, tgt = padded_batch(14)
+    rows = [1, 0, 1]  # permutes and repeats rows of two sentences
+    split = 3
+    with ad.no_grad():
+        state = decoder.init_state(decoder.encode(src))
+    _, state = stepped(decoder, state, tgt[:, :split])
+    got, _ = stepped(decoder, state.select(rows), tgt[rows, split:])
+    want = teacher_forced(model, src[rows], tgt[rows])[:, split:]
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_encoder_memory_select_equals_encoding_those_rows(arch):
+    model = tiny_model(arch, seed=3)
+    src, _ = padded_batch(15)
+    rows = [1, 0, 1]
+    with ad.no_grad():
+        got = model.encode(src).select(rows)
+        alone = [model.encode(src[r:r + 1]) for r in rows]
+    for i, want in enumerate(alone):
+        np.testing.assert_array_equal(got.pad_mask[i], want.pad_mask[0])
+        assert got.fully_masked[i] == want.fully_masked[0]
+        for name in ("states", "h0", "c0"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None)
+            if w is not None:
+                np.testing.assert_allclose(g.data[i], w.data[0], rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("case", ARCHS + ["table"])
+def test_sentences_decoded_together_equal_each_decoded_alone(case):
+    """decode_many searches several sentences of different lengths in one
+    state; each must get the ids of beam_decode / greedy_decode on that
+    sentence alone, at beam 5 and beam 1."""
+    sources = [[4, 5, 6, 7, 8], [9], [5, 7, 4], [6, 6]]
+    for seed in range(3):
+        model = (random_table_model(40 + seed, 10) if case == "table"
+                 else tiny_real_model(case, seed))
+        for beam, alpha in ((5, 1.0), (5, 0.0), (1, 1.0)):
+            cfg = DecodeConfig(beam=beam, length_penalty=alpha)
+            together = decode_many(model, sources, cfg)
+            alone = [beam_decode(model, src, cfg)[0] if beam > 1
+                     else greedy_decode(model, src, cfg) for src in sources]
+            assert [h.ids for h in together] == [h.ids for h in alone]
+            for t, a in zip(together, alone):
+                assert abs(t.logprob - a.logprob) <= TOL

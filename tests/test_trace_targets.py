@@ -1,10 +1,17 @@
 """perfbench's traced run wraps dmt functions by name: every target it
 names must exist, and installing then uninstalling the tracer must leave
-every dmt name as it was. A rename or deletion of a traced function fails
-here, not only in the traced benchmark run."""
+every dmt name as it was, and the arguments its hooks read must keep
+their names and positions. A rename or deletion of a traced function, or
+of an argument a hook reads, fails here, not only in the traced benchmark
+run."""
 
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
+
+from dmt import decoding, models, training
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -40,3 +47,16 @@ def test_install_then_uninstall_restores_every_name():
     after = _names(targets)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+# the arguments perfbench's hooks read by position or by name
+@pytest.mark.parametrize("fn,names", [
+    (decoding.greedy_decode_batch, ["model", "src_batch", "src_pad_mask", "config"]),
+    (decoding.beam_decode, ["model", "src_ids", "config"]),
+    (training.save_checkpoint, ["ckpt", "path"]),
+    *[(cls.decode_step, ["self", "memory", "tgt_prefix"])
+      for cls in (models.TransformerModel, models.LstmModel, models.ConvModel)],
+], ids=["greedy_decode_batch", "beam_decode", "save_checkpoint",
+        "TransformerModel.decode_step", "LstmModel.decode_step", "ConvModel.decode_step"])
+def test_hooked_arguments_keep_their_names_and_positions(fn, names):
+    assert list(inspect.signature(fn).parameters)[:len(names)] == names

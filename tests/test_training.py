@@ -1,5 +1,8 @@
 """Batching, Adam, lr scheduling, checkpointing, and train-loop contracts."""
 
+import struct
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from dmt.autodiff import RngState, Tensor
 from dmt.errors import CheckpointError, ConfigError, DivergenceError, FingerprintError
 from dmt.models import build_model, config_for_arch
 from dmt.subword import BOS_ID, EOS_ID, PAD_ID, build_vocab
-from dmt.training import (AdamState, PlateauScheduler, TrainConfig, adam_step,
+from dmt.training import (AdamState, Checkpoint, PlateauScheduler, TrainConfig, adam_step,
                           load_checkpoint, make_batches, pad_batch, preset,
                           restore_model, save_checkpoint, snapshot, train)
 
@@ -257,6 +260,39 @@ class TestCheckpoint:
         bad.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
+
+    def test_every_header_corruption_is_a_checkpoint_error(self, vocab):
+        """Every bit flip and every cut up to the end of the first tensor's
+        header (the magic, the length fields and the metadata), and one
+        trailing byte: each parses or raises CheckpointError, never a raw
+        exception."""
+        cfg = config_for_arch("conv", enc_layers=1, dec_layers=1, dim=4,
+                              kernel_width=3, dropout=0.0, max_positions=8)
+        model = build_model(cfg, vocab, vocab, 0)
+        raw = snapshot(model, AdamState.init(model.params),
+                       train_config=TrainConfig()).to_bytes()
+        (meta_len,) = struct.unpack_from("<Q", raw, 4)
+        tensors = 4 + 8 + meta_len + 4  # magic, metadata length, metadata, count
+        (name_len,) = struct.unpack_from("<I", raw, tensors)
+        rank = raw[tensors + 4 + name_len + 1]
+        header = tensors + 4 + name_len + 2 + 8 * rank
+        cases = [raw[:cut] for cut in range(header)]
+        for pos in range(header):
+            for bit in range(8):
+                bad = bytearray(raw)
+                bad[pos] ^= 1 << bit
+                cases.append(bytes(bad))
+        escaped = Counter()
+        for case in cases:
+            try:
+                Checkpoint.from_bytes(case)
+            except CheckpointError:
+                pass
+            except Exception as e:  # an escape: counted, then asserted absent
+                escaped[type(e).__name__] += 1
+        assert not escaped
+        with pytest.raises(CheckpointError, match="trailing"):
+            Checkpoint.from_bytes(raw + b"\0")
 
     def test_vocab_fingerprint_mismatch(self, vocab, tmp_path):
         _, ckpt = self.make_ckpt(vocab)

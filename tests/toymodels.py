@@ -16,8 +16,8 @@ class TableMemory:
     def __init__(self, src_rows):
         self.src_rows = src_rows
 
-    def tile(self, k):
-        return TableMemory([row for row in self.src_rows for _ in range(k)])
+    def select(self, rows):
+        return TableMemory([self.src_rows[r] for r in rows])
 
 
 class TableModel:
