@@ -5,6 +5,9 @@ enabled; ``backward(loss)`` walks the tape in reverse execution order
 (a valid reverse topological order), accumulates gradients with ``+=``
 into every tensor that requires them, and consumes the tape.
 
+An op with several outputs (``lstm``) records one node whose VJP receives
+one gradient per output, None for an output no gradient reached.
+
 Masked attention positions are represented by additive -inf before
 softmax, so -inf values are legitimate in pre-softmax scores; a fully
 masked softmax row comes out all-zero and is counted by ``fault_count``.
@@ -25,7 +28,7 @@ __all__ = [
     "softmax", "log_softmax", "sigmoid", "tanh", "relu", "layer_norm",
     "embedding", "conv1d", "glu", "dropout", "concat", "slice_axis",
     "transpose", "reshape", "gather_last", "select_time", "gather_time",
-    "fault_count", "reset_faults", "tape_size",
+    "lstm", "fault_count", "reset_faults", "tape_size",
 ]
 
 NEG_INF = float("-inf")
@@ -158,11 +161,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "vjp")
+    __slots__ = ("inputs", "outputs", "vjp")
 
-    def __init__(self, inputs, output, vjp):
+    def __init__(self, inputs, outputs, vjp):
         self.inputs = inputs
-        self.output = output
+        self.outputs = outputs
         self.vjp = vjp
 
 
@@ -204,8 +207,17 @@ def _make(data, inputs, vjp) -> Tensor:
     track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        _TAPE.append(_Node(inputs, out, vjp))
+        _TAPE.append(_Node(inputs, (out,), vjp))
     return out
+
+
+def _make_many(datas, inputs, vjp) -> tuple:
+    """Wrap the results of one op; vjp takes one gradient per result."""
+    track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    outs = tuple(Tensor(d, requires_grad=track) for d in datas)
+    if track:
+        _TAPE.append(_Node(inputs, outs, vjp))
+    return outs
 
 
 def backward(loss: Tensor):
@@ -218,10 +230,10 @@ def backward(loss: Tensor):
     loss.grad = np.ones_like(loss.data)
     try:
         for node in reversed(_TAPE):
-            g = node.output.grad
-            if g is None:
+            gs = [out.grad for out in node.outputs]
+            if all(g is None for g in gs):
                 continue
-            for t, gi in zip(node.inputs, node.vjp(g)):
+            for t, gi in zip(node.inputs, node.vjp(*gs)):
                 if gi is None or not t.requires_grad:
                     continue
                 if t.grad is None:
@@ -317,6 +329,9 @@ def matmul(a, b) -> Tensor:
         return _make(data, (a, b), vjp)
 
     data = np.matmul(a.data, b.data)
+    if a.ndim == 2 and b.ndim == 2:
+        # transposed views: BLAS reads them in place, no copy
+        return _make(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
     def vjp(g):
         ga = np.matmul(g, np.ascontiguousarray(np.swapaxes(b.data, -1, -2)))
@@ -352,11 +367,15 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
 # nonlinearities
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated so that exp never overflows."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    data = _sigmoid(x.data)
 
     def vjp(g):
         return (g * data * (1.0 - data),)
@@ -643,8 +662,7 @@ def glu(x, axis: int = -1) -> Tensor:
     key_a, key_b = tuple(key_a), tuple(key_b)
     a = x.data[key_a]
     b = x.data[key_b]
-    sig = np.where(b >= 0, 1.0 / (1.0 + np.exp(-np.abs(b))),
-                   np.exp(-np.abs(b)) / (1.0 + np.exp(-np.abs(b))))
+    sig = _sigmoid(b)
     data = a * sig
 
     def vjp(g):
@@ -654,6 +672,77 @@ def glu(x, axis: int = -1) -> Tensor:
         return (gx,)
 
     return _make(data, (x,), vjp)
+
+
+def lstm(x, w_ih, w_hh, b, h0=None, c0=None):
+    """A whole LSTM recurrence over x[B, T, E] as one tape node.
+
+    w_ih[E, 4H], w_hh[H, 4H] and b[4H] pack the gates in the order input,
+    forget, candidate, output; h0 and c0 ([B, H]) default to zeros.
+    Returns (hs, cs): the hidden and the cell state after every step, each
+    [B, T, H]. One GEMM projects the inputs of all steps, so each step
+    multiplies only by w_hh. Backward runs backprop through time in closed
+    form: each step multiplies only by w_hh.T, and one GEMM over all steps
+    each gives the gradients of w_ih, w_hh and x.
+    """
+    x, w_ih, w_hh, b = (_as_tensor(t) for t in (x, w_ih, w_hh, b))
+    if x.ndim != 3 or w_hh.ndim != 2:
+        raise ShapeError(f"lstm: x {x.shape} must be [B, T, E], w_hh {w_hh.shape} [H, 4H]")
+    bsz, t_len, e = x.shape
+    hd = w_hh.shape[0]
+    if w_ih.shape != (e, 4 * hd) or w_hh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
+        raise ShapeError(f"lstm: weights {w_ih.shape}, {w_hh.shape}, {b.shape} "
+                         f"do not fit input width {e} and hidden width {hd}")
+    h0 = Tensor(np.zeros((bsz, hd))) if h0 is None else _as_tensor(h0)
+    c0 = Tensor(np.zeros((bsz, hd))) if c0 is None else _as_tensor(c0)
+    if h0.shape != (bsz, hd) or c0.shape != (bsz, hd):
+        raise ShapeError(f"lstm: h0 {h0.shape} and c0 {c0.shape} must be {(bsz, hd)}")
+
+    xw = (x.data.reshape(-1, e) @ w_ih.data).reshape(bsz, t_len, 4 * hd)
+    acts = np.empty((bsz, t_len, 4 * hd))  # gate activations i, f, g, o
+    hs = np.empty((bsz, t_len, hd))
+    cs = np.empty((bsz, t_len, hd))
+    tanh_cs = np.empty((bsz, t_len, hd))
+    h, c = h0.data, c0.data
+    for t in range(t_len):
+        z = xw[:, t] + h @ w_hh.data + b.data
+        a = acts[:, t]
+        a[:, :2 * hd] = _sigmoid(z[:, :2 * hd])
+        a[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
+        a[:, 3 * hd:] = _sigmoid(z[:, 3 * hd:])
+        i, f, g, o = a[:, :hd], a[:, hd:2 * hd], a[:, 2 * hd:3 * hd], a[:, 3 * hd:]
+        c = cs[:, t] = f * c + i * g
+        tanh_cs[:, t] = np.tanh(c)
+        h = hs[:, t] = o * tanh_cs[:, t]
+
+    def vjp(g_hs, g_cs):
+        dz = np.empty_like(acts)
+        dh = np.zeros((bsz, hd))
+        dc = np.zeros((bsz, hd))
+        for t in range(t_len - 1, -1, -1):
+            if g_hs is not None:
+                dh = dh + g_hs[:, t]
+            if g_cs is not None:
+                dc = dc + g_cs[:, t]
+            a = acts[:, t]
+            i, f, g, o = a[:, :hd], a[:, hd:2 * hd], a[:, 2 * hd:3 * hd], a[:, 3 * hd:]
+            tc = tanh_cs[:, t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            c_prev = cs[:, t - 1] if t else c0.data
+            dz[:, t, :hd] = dc * g * i * (1.0 - i)
+            dz[:, t, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
+            dz[:, t, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
+            dz[:, t, 3 * hd:] = dh * tc * o * (1.0 - o)
+            dh = dz[:, t] @ w_hh.data.T
+            dc = dc * f
+        h_prev = np.concatenate([h0.data[:, None], hs], axis=1)[:, :t_len]
+        dz2 = dz.reshape(-1, 4 * hd)
+        return ((dz2 @ w_ih.data.T).reshape(x.shape),
+                x.data.reshape(-1, e).T @ dz2,
+                h_prev.reshape(-1, hd).T @ dz2,
+                dz2.sum(axis=0), dh, dc)
+
+    return _make_many((hs, cs), (x, w_ih, w_hh, b, h0, c0), vjp)
 
 
 def dropout(x, p: float, rng: RngState = None, training: bool = False) -> Tensor:

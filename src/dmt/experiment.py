@@ -223,7 +223,7 @@ class _Runner:
             self.log(f"stage {name}: fresh, skipping")
             return
         self.log(f"stage {name}: running")
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             fn()
         except Exception as e:
@@ -231,7 +231,7 @@ class _Runner:
             raise ExperimentError(f"stage {name}: {e}") from e
         marker.write_text("done\n")
         self.did_work = True
-        self.log(f"stage {name}: done in {time.time() - t0:.1f}s")
+        self.log(f"stage {name}: done in {time.perf_counter() - t0:.3f}s")
 
     # ---- stage bodies ----
 

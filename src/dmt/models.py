@@ -11,13 +11,15 @@ Inference decodes incrementally. ``init_state(memory)`` returns a
 DecodeState, and ``step(state, last_ids)`` feeds one token per row (BOS
 first) and returns ``(logits[B, V], state)``: the logits ``decode_step``
 gives at the newest position, at a cost that does not grow with the
-prefix. The LSTM carries (h, c), the transformer caches per-layer
-self-attention keys and values and projects the encoder memory for
-cross-attention once, and the conv decoder keeps each layer's last
-k - 1 inputs. ``state.select(rows)`` reorders, repeats or drops rows, as
-search does with parent and finished hypotheses. Models that implement only
-``encode``/``decode_step`` decode through ``decoding.RecomputeDecoder``,
-which re-runs the whole prefix every step.
+prefix. The LSTM carries (h, c) and runs the same fused ``ad.lstm`` op
+with T = 1 that ``encode`` and ``decode_step`` run over whole sequences;
+the transformer caches per-layer self-attention keys and values and
+projects the encoder memory for cross-attention once, and the conv
+decoder keeps each layer's last k - 1 inputs. ``state.select(rows)``
+reorders, repeats or drops rows, as search does with parent and finished
+hypotheses. Models that implement only ``encode``/``decode_step`` decode
+through ``decoding.RecomputeDecoder``, which re-runs the whole prefix
+every step.
 """
 
 from __future__ import annotations
@@ -315,7 +317,10 @@ class LstmModel(SeqModel):
 
     The final real (non-pad) encoder state initializes the decoder; the
     decoder attends over per-position encoder states with dot-product
-    attention and a tanh combination layer.
+    attention and a tanh combination layer. Every recurrence is one
+    ``ad.lstm`` node. Attention reads only the decoder's hidden states (no
+    input feeding), so it runs once over all positions after the
+    recurrence.
     """
 
     def _build(self, f: _ParamFactory):
@@ -340,32 +345,11 @@ class LstmModel(SeqModel):
         f.uniform("out.w", (h, self.tgt_vocab_size))
         f.zeros("out.b", (self.tgt_vocab_size,))
 
-    def _cell(self, prefix, x_t, h, c):
+    def _recur(self, prefix, x, h0=None, c0=None):
+        """The hidden and cell states [B, T, H] of one LSTM run over x."""
         p = self.params
-        hd = self.config.hidden_dim
-        gates = ad.add(ad.add(ad.matmul(x_t, p[f"{prefix}.w_ih"]),
-                              ad.matmul(h, p[f"{prefix}.w_hh"])),
-                       p[f"{prefix}.b"])
-        i = ad.sigmoid(ad.slice_axis(gates, 1, 0, hd))
-        fg = ad.sigmoid(ad.slice_axis(gates, 1, hd, 2 * hd))
-        g = ad.tanh(ad.slice_axis(gates, 1, 2 * hd, 3 * hd))
-        o = ad.sigmoid(ad.slice_axis(gates, 1, 3 * hd, 4 * hd))
-        c_new = ad.add(ad.mul(fg, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        return h_new, c_new
-
-    def _run_direction(self, prefix, x, training, rng):
-        b, s, _ = x.shape
-        hd = self.config.hidden_dim
-        h = Tensor(np.zeros((b, hd)))
-        c = Tensor(np.zeros((b, hd)))
-        hs, cs = [], []
-        for t in range(s):
-            x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (b, -1))
-            h, c = self._cell(prefix, x_t, h, c)
-            hs.append(ad.reshape(h, (b, 1, hd)))
-            cs.append(ad.reshape(c, (b, 1, hd)))
-        return ad.concat(hs, axis=1), ad.concat(cs, axis=1)
+        return ad.lstm(x, p[f"{prefix}.w_ih"], p[f"{prefix}.w_hh"], p[f"{prefix}.b"],
+                       h0, c0)
 
     @staticmethod
     def _reverse_perm(pad_mask: np.ndarray) -> np.ndarray:
@@ -385,7 +369,7 @@ class LstmModel(SeqModel):
         x = ad.embedding(self.params["src_embed"], src_ids)
         x = ad.dropout(x, cfg.dropout, rng, training)
 
-        hs_f, cs_f = self._run_direction("enc_f", x, training, rng)
+        hs_f, cs_f = self._recur("enc_f", x)
         last = lengths - 1
         h_last = ad.select_time(hs_f, last)
         c_last = ad.select_time(cs_f, last)
@@ -395,7 +379,7 @@ class LstmModel(SeqModel):
 
         perm = self._reverse_perm(pad)
         x_rev = ad.gather_time(x, perm)
-        hs_b, cs_b = self._run_direction("enc_b", x_rev, training, rng)
+        hs_b, cs_b = self._recur("enc_b", x_rev)
         h_last_b = ad.select_time(hs_b, last)
         c_last_b = ad.select_time(cs_b, last)
         hs_b = ad.gather_time(hs_b, perm)  # align with original positions
@@ -406,35 +390,25 @@ class LstmModel(SeqModel):
         return EncoderMemory(states=states, pad_mask=pad, h0=h0, c0=c0,
                              fully_masked=fully_masked)
 
-    def _combine(self, h, states, states_t, bias):
-        """The decoder output at one position: tanh(W [h; attention(h)])."""
+    def _combine(self, hs, states, states_t, bias):
+        """The decoder outputs [B, T, H]: tanh(W [h; attention(h)]) at every
+        position at once, as the attention reads no earlier output."""
         if not self.config.attention:
-            return h
-        b, hd = h.shape
-        ctx = _dot_attention(ad.reshape(h, (b, 1, hd)), states, states_t, bias)
-        return ad.tanh(ad.matmul(ad.concat([h, ad.reshape(ctx, (b, hd))], axis=1),
+            return hs
+        ctx = _dot_attention(hs, states, states_t, bias)
+        return ad.tanh(ad.matmul(ad.concat([hs, ctx], axis=2),
                                  self.params["attn_combine.w"]))
 
     def decode_step(self, memory, tgt_prefix, training=False, rng=None):
         cfg = self.config
         tgt_prefix = self._prep_prefix(tgt_prefix)
-        b, t_len = tgt_prefix.shape
-        hd = cfg.hidden_dim
         x = ad.embedding(self.params["tgt_embed"], tgt_prefix)
         x = ad.dropout(x, cfg.dropout, rng, training)
-        bias = _pad_bias(memory.pad_mask)
-        states_t = ad.transpose(memory.states, (0, 2, 1))
-
-        h, c = memory.h0, memory.c0
-        outs = []
-        for t in range(t_len):
-            x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (b, -1))
-            h, c = self._cell("dec", x_t, h, c)
-            combined = self._combine(h, memory.states, states_t, bias)
-            outs.append(ad.reshape(combined, (b, 1, hd)))
-        stacked = ad.concat(outs, axis=1)
-        stacked = ad.dropout(stacked, cfg.dropout, rng, training)
-        return _linear(stacked, self.params["out.w"], self.params["out.b"])
+        hs, _ = self._recur("dec", x, memory.h0, memory.c0)
+        out = self._combine(hs, memory.states, ad.transpose(memory.states, (0, 2, 1)),
+                            _pad_bias(memory.pad_mask))
+        out = ad.dropout(out, cfg.dropout, rng, training)
+        return _linear(out, self.params["out.w"], self.params["out.b"])
 
     def init_state(self, memory) -> DecodeState:
         return DecodeState(0, h=memory.h0, c=memory.c0, states=memory.states,
@@ -443,11 +417,13 @@ class LstmModel(SeqModel):
 
     def step(self, state: DecodeState, last_ids):
         s = state.tensors
-        x_t = ad.embedding(self.params["tgt_embed"], last_ids)
-        h, c = self._cell("dec", x_t, s["h"], s["c"])
-        out = self._combine(h, s["states"], s["states_t"], s["bias"])
+        b, hd = len(last_ids), self.config.hidden_dim
+        x = ad.embedding(self.params["tgt_embed"], np.reshape(last_ids, (b, 1)))
+        hs, cs = self._recur("dec", x, s["h"], s["c"])
+        out = self._combine(hs, s["states"], s["states_t"], s["bias"])
         logits = _linear(out, self.params["out.w"], self.params["out.b"])
-        return logits.data, state.advance(h=h, c=c)
+        return logits.data[:, 0], state.advance(h=ad.reshape(hs, (b, hd)),
+                                                c=ad.reshape(cs, (b, hd)))
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,18 @@ class Checkpoint:
     version: int = 1
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()[:16]
+        digest = hashlib.sha256()
+        self.serialize(digest.update)
+        return digest.hexdigest()[:16]
 
     def to_bytes(self) -> bytes:
+        buf = io.BytesIO()
+        self.serialize(buf.write)
+        return buf.getvalue()
+
+    def serialize(self, write):
+        """Serialize by calling write on each piece in file order; tensor
+        data goes out as the arrays' own buffers, not as copies."""
         meta = {
             "version": str(self.version),
             "arch": self.arch,
@@ -300,27 +309,25 @@ class Checkpoint:
             meta.update(_dump_config("train", self.train_config))
         if self.opt is not None:
             meta["opt.t"] = str(self.opt.t)
-        buf = io.BytesIO()
-        buf.write(_MAGIC)
+        write(_MAGIC)
         meta_text = "".join(f"{k}={meta[k]}\n" for k in sorted(meta))
         meta_bytes = meta_text.encode("utf-8")
-        buf.write(struct.pack("<Q", len(meta_bytes)))
-        buf.write(meta_bytes)
+        write(struct.pack("<Q", len(meta_bytes)))
+        write(meta_bytes)
 
         tensors = [(f"param.{k}", a) for k, a in sorted(self.params.items())]
         if self.opt is not None:
             tensors += [(f"opt.m.{k}", a) for k, a in sorted(self.opt.m.items())]
             tensors += [(f"opt.v.{k}", a) for k, a in sorted(self.opt.v.items())]
-        buf.write(struct.pack("<I", len(tensors)))
+        write(struct.pack("<I", len(tensors)))
         for name, arr in tensors:
             nb = name.encode("utf-8")
-            buf.write(struct.pack("<I", len(nb)))
-            buf.write(nb)
-            buf.write(struct.pack("<BB", _DTYPE_F64, arr.ndim))
+            write(struct.pack("<I", len(nb)))
+            write(nb)
+            write(struct.pack("<BB", _DTYPE_F64, arr.ndim))
             for ext in arr.shape:
-                buf.write(struct.pack("<Q", ext))
-            buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        return buf.getvalue()
+                write(struct.pack("<Q", ext))
+            write(np.ascontiguousarray(arr, dtype="<f8"))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Checkpoint":
@@ -417,7 +424,8 @@ def _parse_config(cls, prefix: str, meta: dict):
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    Path(path).write_bytes(ckpt.to_bytes())
+    with open(path, "wb") as f:
+        ckpt.serialize(f.write)
 
 
 def load_checkpoint(path) -> Checkpoint:

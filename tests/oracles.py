@@ -2,13 +2,17 @@
 
 Nothing here calls back into the code paths under test: gradients come
 from central finite differences, BLEU from direct n-gram enumeration,
-and search optima from exhaustive enumeration of candidate sequences.
+search optima from exhaustive enumeration of candidate sequences, and the
+fused LSTM's reference is the per-step cell built from elementary ops.
 """
 
 import math
 from collections import Counter
 
 import numpy as np
+
+import dmt.autodiff as ad
+from dmt.autodiff import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +64,33 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray,
     rel = diff / scale
     rel[diff < abs_floor] = 0.0
     return float(rel.max()) if rel.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# recurrence: the LSTM as one cell per step of elementary ops
+
+
+def lstm_reference(x, w_ih, w_hh, b, h0=None, c0=None):
+    """(hs, cs) of ad.lstm, composed step by step from slice_axis, matmul,
+    sigmoid, tanh, mul, add and concat, so its gradient comes from their
+    VJPs rather than from a closed-form backprop through time."""
+    bsz, t_len, _ = x.shape
+    hd = w_hh.shape[0]
+    h = Tensor(np.zeros((bsz, hd))) if h0 is None else h0
+    c = Tensor(np.zeros((bsz, hd))) if c0 is None else c0
+    hs, cs = [], []
+    for t in range(t_len):
+        x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (bsz, -1))
+        gates = ad.add(ad.add(ad.matmul(x_t, w_ih), ad.matmul(h, w_hh)), b)
+        i = ad.sigmoid(ad.slice_axis(gates, 1, 0, hd))
+        f = ad.sigmoid(ad.slice_axis(gates, 1, hd, 2 * hd))
+        g = ad.tanh(ad.slice_axis(gates, 1, 2 * hd, 3 * hd))
+        o = ad.sigmoid(ad.slice_axis(gates, 1, 3 * hd, 4 * hd))
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        hs.append(ad.reshape(h, (bsz, 1, hd)))
+        cs.append(ad.reshape(c, (bsz, 1, hd)))
+    return ad.concat(hs, axis=1), ad.concat(cs, axis=1)
 
 
 # ---------------------------------------------------------------------------

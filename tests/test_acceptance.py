@@ -227,6 +227,12 @@ class TestC05GradientChecks:
             st = np.array(rng.uniform((2,), 0, 4), dtype=np.int64)
             perm = np.stack([RngState(trial * 7 + i).permutation(4)
                              for i in range(2)])
+            # lstm inputs from their own stream, so the other cases see
+            # the same inputs as before the op was added
+            lstm_rng = RngState(600 + trial)
+            w_ih, w_hh, lb, h0, c0 = (
+                Tensor(lstm_rng.uniform(shape, -1.0, 1.0), requires_grad=True)
+                for shape in ((3, 8), (2, 8), (8,), (2, 2), (2, 2)))
             cases = [
                 (lambda: ad.add(a, b), [a, b]),
                 (lambda: ad.sub(a, b), [a, b]),
@@ -255,6 +261,9 @@ class TestC05GradientChecks:
                 (lambda: ad.gather_last(x3, gl), [x3]),
                 (lambda: ad.select_time(x3, st), [x3]),
                 (lambda: ad.gather_time(x3, perm), [x3]),
+                (lambda: ad.lstm(x3, w_ih, w_hh, lb)[0], [x3, w_ih, w_hh, lb]),
+                (lambda: ad.lstm(x3, w_ih, w_hh, lb, h0, c0)[1],
+                 [x3, w_ih, w_hh, lb, h0, c0]),
             ]
             for build, tensors in cases:
                 if tensors is None:

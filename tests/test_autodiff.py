@@ -7,7 +7,7 @@ import dmt.autodiff as ad
 from dmt.autodiff import RngState, Tensor
 from dmt.errors import ShapeError
 
-from oracles import fd_grad, max_rel_err
+from oracles import fd_grad, lstm_reference, max_rel_err
 
 GRAD_TOL = 1e-4
 FD_H = 1e-5
@@ -102,6 +102,15 @@ class TestMatmul:
         rng = RngState(15)
         a, b = rand(rng, 2, 3, 4), rand(rng, 2, 4, 2)
         check_grads(lambda: ad.matmul(a, b), [a, b])
+
+    @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (3, 5, 4), (24, 512, 64), (7, 1, 9)])
+    def test_2d_vjp_equals_products_with_copied_transposes(self, m, k, n):
+        rng = RngState(m * 100 + n)
+        a, b = rand(rng, m, k), rand(rng, k, n)
+        g = rng.uniform((m, n), -1.0, 1.0)
+        ad.backward(ad.reduce_sum(ad.mul(ad.matmul(a, b), g)))  # d loss / d (a @ b) = g
+        np.testing.assert_allclose(a.grad, g @ np.ascontiguousarray(b.data.T), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(b.grad, np.ascontiguousarray(a.data.T) @ g, rtol=1e-13, atol=0)
 
     def test_grads_batched_times_plain(self):
         rng = RngState(16)
@@ -334,6 +343,63 @@ class TestStructural:
         }
         build, tensors = builds[build_name]
         check_grads(build, tensors)
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestLstm:
+    E, H = 3, 4
+
+    def inputs(self, t_len, seed):
+        """A batch of three rows with real lengths t_len, t_len - 2 and 1 (at
+        least 1), weights, and an initial state."""
+        rng = RngState(seed)
+        x = rand(rng, 3, t_len, self.E)
+        w_ih, w_hh = rand(rng, self.E, 4 * self.H), rand(rng, self.H, 4 * self.H)
+        b, h0, c0 = rand(rng, 4 * self.H), rand(rng, 3, self.H), rand(rng, 3, self.H)
+        lengths = np.array([t_len, max(t_len - 2, 1), 1])
+        return x, w_ih, w_hh, b, h0, c0, lengths
+
+    @pytest.mark.parametrize("loss_on", ["hs", "cs", "both"])
+    @pytest.mark.parametrize("initial", ["given", "omitted"])
+    @pytest.mark.parametrize("t_len", [1, 2, 7])
+    def test_matches_per_step_reference(self, t_len, initial, loss_on):
+        x, w_ih, w_hh, b, h0, c0, lengths = self.inputs(t_len, 40 + t_len)
+        state = (h0, c0) if initial == "given" else (None, None)
+        inputs = [x, w_ih, w_hh, b] + ([h0, c0] if initial == "given" else [])
+        pad = np.arange(t_len)[None, :] >= lengths[:, None]
+        rng = RngState(7)
+        w_hs = rng.uniform((3, t_len, self.H), -1.0, 1.0) * ~pad[:, :, None]
+        w_cs = rng.uniform((3, self.H), -1.0, 1.0)
+
+        def run(fn):
+            hs, cs = fn(x, w_ih, w_hh, b, *state)
+            terms = []
+            if loss_on in ("hs", "both"):
+                terms.append(ad.reduce_sum(ad.mul(hs, w_hs)))
+            if loss_on in ("cs", "both"):
+                # as the encoder reads it: the cell state at each row's last real step
+                terms.append(ad.reduce_sum(ad.mul(ad.select_time(cs, lengths - 1), w_cs)))
+            ad.backward(terms[0] if len(terms) == 1 else ad.add(*terms))
+            grads = [t.grad for t in inputs]
+            ad.zero_grad(inputs)
+            return hs.data, cs.data, grads
+
+        hs, cs, grads = run(ad.lstm)
+        ref_hs, ref_cs, ref_grads = run(lstm_reference)
+        assert hs.shape == cs.shape == ref_hs.shape == (3, t_len, self.H)
+        assert rel_diff(hs, ref_hs) <= 1e-12 and rel_diff(cs, ref_cs) <= 1e-12
+        for got, want in zip(grads, ref_grads):
+            assert got is not None and rel_diff(got, want) <= 1e-12
+
+    def test_mismatched_shapes_rejected(self):
+        x, w_ih, w_hh, b, h0, c0, _ = self.inputs(2, 5)
+        with pytest.raises(ShapeError):
+            ad.lstm(x, w_hh, w_hh, b)
+        with pytest.raises(ShapeError):
+            ad.lstm(x, w_ih, w_hh, b, h0=Tensor(np.zeros((2, self.H))))
 
 
 class TestBackward:

@@ -79,6 +79,23 @@ class TestConfigs:
             config_for_arch("rnn")
 
 
+class TestTapeSize:
+    @pytest.mark.parametrize("arch", ["lstm", "bilstm"])
+    def test_recurrent_forward_tape_does_not_grow_with_length(self, arch):
+        """One fused node per recurrence: the tape of a training forward
+        pass has the same length for short and long sentences."""
+        model = tiny_model(arch)
+        sizes = []
+        for s, t in ((1, 1), (3, 2), (11, 9)):
+            src, pad, tgt = random_batch(RngState(s), 2, s, t, 12, 12, pad_cols=1)
+            before = ad.tape_size()
+            loss = label_smoothed_loss(model.forward(src, pad, tgt), np.roll(tgt, -1, axis=1))
+            sizes.append(ad.tape_size() - before)
+            ad.backward(loss)
+            ad.zero_grad(model.params)
+        assert sizes[0] == sizes[1] == sizes[2]
+
+
 class TestBuild:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_same_seed_bit_identical(self, arch):

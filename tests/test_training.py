@@ -1,5 +1,6 @@
 """Batching, Adam, lr scheduling, checkpointing, and train-loop contracts."""
 
+import hashlib
 import struct
 from collections import Counter
 
@@ -218,6 +219,19 @@ class TestCheckpoint:
         loaded = load_checkpoint(p1)
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_streamed_file_equals_to_bytes_and_fingerprint(self, vocab, tmp_path):
+        _, ckpt = self.make_ckpt(vocab)
+        # a column-major tensor is written through a row-major copy
+        name = next(k for k in sorted(ckpt.params) if ckpt.params[k].ndim == 2)
+        ckpt.params[name] = np.asfortranarray(ckpt.params[name])
+        assert not ckpt.params[name].flags.c_contiguous
+        save_checkpoint(ckpt, tmp_path / "m.dmt")
+        raw = (tmp_path / "m.dmt").read_bytes()
+        assert raw == ckpt.to_bytes()
+        assert ckpt.fingerprint() == hashlib.sha256(raw).hexdigest()[:16]
+        np.testing.assert_array_equal(load_checkpoint(tmp_path / "m.dmt").params[name],
+                                      ckpt.params[name])
 
     def test_forward_bit_identical_after_reload(self, vocab, tmp_path):
         model, ckpt = self.make_ckpt(vocab)
