@@ -5,9 +5,6 @@ enabled; ``backward(loss)`` walks the tape in reverse execution order
 (a valid reverse topological order), accumulates gradients with ``+=``
 into every tensor that requires them, and consumes the tape.
 
-An op with several outputs (``lstm``) records one node whose VJP receives
-one gradient per output, None for an output no gradient reached.
-
 Masked attention positions are represented by additive -inf before
 softmax, so -inf values are legitimate in pre-softmax scores; a fully
 masked softmax row comes out all-zero and is counted by ``fault_count``.
@@ -161,11 +158,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "outputs", "vjp")
+    __slots__ = ("inputs", "output", "vjp")
 
-    def __init__(self, inputs, outputs, vjp):
+    def __init__(self, inputs, output, vjp):
         self.inputs = inputs
-        self.outputs = outputs
+        self.output = output
         self.vjp = vjp
 
 
@@ -207,17 +204,8 @@ def _make(data, inputs, vjp) -> Tensor:
     track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        _TAPE.append(_Node(inputs, (out,), vjp))
+        _TAPE.append(_Node(inputs, out, vjp))
     return out
-
-
-def _make_many(datas, inputs, vjp) -> tuple:
-    """Wrap the results of one op; vjp takes one gradient per result."""
-    track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
-    outs = tuple(Tensor(d, requires_grad=track) for d in datas)
-    if track:
-        _TAPE.append(_Node(inputs, outs, vjp))
-    return outs
 
 
 def backward(loss: Tensor):
@@ -230,10 +218,10 @@ def backward(loss: Tensor):
     loss.grad = np.ones_like(loss.data)
     try:
         for node in reversed(_TAPE):
-            gs = [out.grad for out in node.outputs]
-            if all(g is None for g in gs):
+            g = node.output.grad
+            if g is None:
                 continue
-            for t, gi in zip(node.inputs, node.vjp(*gs)):
+            for t, gi in zip(node.inputs, node.vjp(g)):
                 if gi is None or not t.requires_grad:
                     continue
                 if t.grad is None:
@@ -329,9 +317,6 @@ def matmul(a, b) -> Tensor:
         return _make(data, (a, b), vjp)
 
     data = np.matmul(a.data, b.data)
-    if a.ndim == 2 and b.ndim == 2:
-        # transposed views: BLAS reads them in place, no copy
-        return _make(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
     def vjp(g):
         ga = np.matmul(g, np.ascontiguousarray(np.swapaxes(b.data, -1, -2)))
@@ -684,6 +669,9 @@ def lstm(x, w_ih, w_hh, b, h0=None, c0=None):
     multiplies only by w_hh. Backward runs backprop through time in closed
     form: each step multiplies only by w_hh.T, and one GEMM over all steps
     each gives the gradients of w_ih, w_hh and x.
+
+    The node's output stacks hs and cs as [2, B, T, H]; two ``_part``
+    nodes hand them out, so gradient reaching only cs still flows.
     """
     x, w_ih, w_hh, b = (_as_tensor(t) for t in (x, w_ih, w_hh, b))
     if x.ndim != 3 or w_hh.ndim != 2:
@@ -700,8 +688,8 @@ def lstm(x, w_ih, w_hh, b, h0=None, c0=None):
 
     xw = (x.data.reshape(-1, e) @ w_ih.data).reshape(bsz, t_len, 4 * hd)
     acts = np.empty((bsz, t_len, 4 * hd))  # gate activations i, f, g, o
-    hs = np.empty((bsz, t_len, hd))
-    cs = np.empty((bsz, t_len, hd))
+    hc = np.empty((2, bsz, t_len, hd))
+    hs, cs = hc
     tanh_cs = np.empty((bsz, t_len, hd))
     h, c = h0.data, c0.data
     for t in range(t_len):
@@ -715,15 +703,14 @@ def lstm(x, w_ih, w_hh, b, h0=None, c0=None):
         tanh_cs[:, t] = np.tanh(c)
         h = hs[:, t] = o * tanh_cs[:, t]
 
-    def vjp(g_hs, g_cs):
+    def vjp(g_hc):
+        g_hs, g_cs = g_hc
         dz = np.empty_like(acts)
         dh = np.zeros((bsz, hd))
         dc = np.zeros((bsz, hd))
         for t in range(t_len - 1, -1, -1):
-            if g_hs is not None:
-                dh = dh + g_hs[:, t]
-            if g_cs is not None:
-                dc = dc + g_cs[:, t]
+            dh = dh + g_hs[:, t]
+            dc = dc + g_cs[:, t]
             a = acts[:, t]
             i, f, g, o = a[:, :hd], a[:, hd:2 * hd], a[:, 2 * hd:3 * hd], a[:, 3 * hd:]
             tc = tanh_cs[:, t]
@@ -742,7 +729,18 @@ def lstm(x, w_ih, w_hh, b, h0=None, c0=None):
                 h_prev.reshape(-1, hd).T @ dz2,
                 dz2.sum(axis=0), dh, dc)
 
-    return _make_many((hs, cs), (x, w_ih, w_hh, b, h0, c0), vjp)
+    out = _make(hc, (x, w_ih, w_hh, b, h0, c0), vjp)
+    return _part(out, 0), _part(out, 1)
+
+
+def _part(x: Tensor, k: int) -> Tensor:
+    """x[k]: one part of an op's stacked results."""
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[k] = g
+        return (gx,)
+
+    return _make(x.data[k], (x,), vjp)
 
 
 def dropout(x, p: float, rng: RngState = None, training: bool = False) -> Tensor:
