@@ -25,7 +25,7 @@ __all__ = [
     "softmax", "log_softmax", "sigmoid", "tanh", "relu", "layer_norm",
     "embedding", "conv1d", "glu", "dropout", "concat", "slice_axis",
     "transpose", "reshape", "gather_last", "select_time", "gather_time",
-    "lstm", "fault_count", "reset_faults", "tape_size",
+    "attention", "lstm", "fault_count", "reset_faults", "tape_size",
 ]
 
 NEG_INF = float("-inf")
@@ -401,20 +401,26 @@ def _guarded_max(d: np.ndarray, axis: int):
     return m, dead
 
 
+def _softmax(d: np.ndarray, axis: int) -> np.ndarray:
+    """Exponentials of d normalized along axis, max-subtracted for
+    stability; a fully masked row comes out all-zero and is a fault."""
+    global _FAULTS
+    m, dead = _guarded_max(d, axis)
+    if dead.any():
+        _FAULTS += int(dead.sum())
+    e = np.exp(d - m)
+    s = e.sum(axis=axis, keepdims=True)
+    return e / np.where(s == 0.0, 1.0, s)
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     """Exponentials normalized along axis, max-subtracted for stability.
 
     -inf inputs yield exact zeros; a fully masked row comes out all-zero
     and increments the fault counter.
     """
-    global _FAULTS
     x = _as_tensor(x)
-    m, dead = _guarded_max(x.data, axis)
-    if dead.any():
-        _FAULTS += int(dead.sum())
-    e = np.exp(x.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    data = e / np.where(s == 0.0, 1.0, s)
+    data = _softmax(x.data, axis)
 
     def vjp(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
@@ -657,6 +663,83 @@ def glu(x, axis: int = -1) -> Tensor:
         return (gx,)
 
     return _make(data, (x,), vjp)
+
+
+def _head_layout(head_dims, d: int):
+    """(cols, valid) for splitting width d into heads zero-padded to the
+    widest: cols[H, w] names the column of x each padded slot reads, and
+    valid[H, w] is False at the padding; None when the heads are even."""
+    dims = np.asarray(head_dims)
+    if dims.sum() != d or dims.min() < 1:
+        raise ShapeError(f"attention: head widths {list(head_dims)} do not split width {d}")
+    if (dims == dims[0]).all():
+        return None
+    slots = np.arange(dims.max())
+    valid = slots[None, :] < dims[:, None]
+    cols = np.where(valid, (np.cumsum(dims) - dims)[:, None] + slots, 0)
+    return cols, valid
+
+
+def _split_heads(x: np.ndarray, n_heads: int, layout) -> np.ndarray:
+    """[B, T, D] -> [B, H, T, w]; a view when the heads are even."""
+    b, t, d = x.shape
+    if layout is None:
+        return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    cols, valid = layout
+    return (x[:, :, cols] * valid).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(xh: np.ndarray, layout) -> np.ndarray:
+    """[B, H, T, w] -> [B, T, D], dropping the padding of ragged heads."""
+    b, h, t, w = xh.shape
+    xt = xh.transpose(0, 2, 1, 3)
+    if layout is None:
+        return xt.reshape(b, t, h * w)
+    return xt[:, :, layout[1]]
+
+
+def attention(q, k, v, bias, head_dims) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    q[B, Tq, D] attends over k, v[B, Tk, D], split into heads of the given
+    widths (summing to D); each head's queries are scaled by 1/sqrt(its
+    width). bias is a constant additive mask that broadcasts to
+    [B, Tq, Tk] and is added to every head's scores, or None. Returns the
+    heads' outputs side by side, [B, Tq, D]. Ragged heads are zero-padded
+    to the widest, which adds nothing to their scores. A fully masked row
+    of a head comes out all-zero and counts as one fault, as in softmax.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[0] != k.shape[0]
+            or q.shape[2] != k.shape[2]):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"must be [B, Tq, D], [B, Tk, D], [B, Tk, D]")
+    n_heads = len(head_dims)
+    layout = _head_layout(head_dims, q.shape[2])
+    scale = (1.0 / np.sqrt(np.asarray(head_dims, dtype=np.float64)))[:, None, None]
+    qh = _split_heads(q.data, n_heads, layout) * scale
+    kh = _split_heads(k.data, n_heads, layout)
+    vh = _split_heads(v.data, n_heads, layout)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    if bias is not None:
+        bias = _as_tensor(bias)
+        try:
+            scores += np.expand_dims(bias.data, -3)
+        except ValueError:
+            raise ShapeError(f"attention: bias {bias.shape} does not broadcast to "
+                             f"{(q.shape[0], q.shape[1], k.shape[1])}")
+    p = _softmax(scores, -1)
+    data = _merge_heads(np.matmul(p, vh), layout)
+
+    def vjp(g):
+        gh = _split_heads(g, n_heads, layout)
+        gp = np.matmul(gh, vh.swapaxes(-1, -2))
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        return (_merge_heads(np.matmul(gs, kh) * scale, layout),
+                _merge_heads(np.matmul(gs.swapaxes(-1, -2), qh), layout),
+                _merge_heads(np.matmul(p.swapaxes(-1, -2), gh), layout))
+
+    return _make(data, (q, k, v), vjp)
 
 
 def lstm(x, w_ih, w_hh, b, h0=None, c0=None):

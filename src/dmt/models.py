@@ -534,7 +534,9 @@ class TransformerModel(SeqModel):
 
     Head widths come from config.head_dims(): even division by default,
     ragged widths (e.g. 256 over 3 heads -> 86/85/85) when uneven heads
-    are explicitly allowed.
+    are explicitly allowed. Every attention block, in training and in
+    incremental decoding, is one ``ad.attention`` node over all heads,
+    ragged or not, followed by the output projection.
     """
 
     def _build(self, f: _ParamFactory):
@@ -587,18 +589,7 @@ class TransformerModel(SeqModel):
         """Multi-head attention of projected queries q over projected keys
         k and values v, then the output projection; bias None means every
         key is visible."""
-        outs = []
-        off = 0
-        for dh in self.config.head_dims():
-            qs = ad.mul(ad.slice_axis(q, 2, off, off + dh), 1.0 / math.sqrt(dh))
-            ks = ad.slice_axis(k, 2, off, off + dh)
-            vs = ad.slice_axis(v, 2, off, off + dh)
-            scores = ad.matmul(qs, ad.transpose(ks, (0, 2, 1)))
-            if bias is not None:
-                scores = ad.add(scores, bias)
-            outs.append(ad.matmul(ad.softmax(scores, axis=-1), vs))
-            off += dh
-        return self._proj(base, "o", ad.concat(outs, axis=2))
+        return self._proj(base, "o", ad.attention(q, k, v, bias, self.config.head_dims()))
 
     def _attention(self, base, q_in, kv_in, bias):
         q = self._proj(base, "q", q_in)

@@ -2,8 +2,9 @@
 
 Nothing here calls back into the code paths under test: gradients come
 from central finite differences, BLEU from direct n-gram enumeration,
-search optima from exhaustive enumeration of candidate sequences, and the
-fused LSTM's reference is the per-step cell built from elementary ops.
+search optima from exhaustive enumeration of candidate sequences, the
+fused LSTM's reference is the per-step cell built from elementary ops, and
+the fused multi-head attention's reference is the per-head loop.
 """
 
 import math
@@ -91,6 +92,28 @@ def lstm_reference(x, w_ih, w_hh, b, h0=None, c0=None):
         hs.append(ad.reshape(h, (bsz, 1, hd)))
         cs.append(ad.reshape(c, (bsz, 1, hd)))
     return ad.concat(hs, axis=1), ad.concat(cs, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# attention: one head at a time from elementary ops
+
+
+def attention_reference(q, k, v, bias, head_dims):
+    """ad.attention composed head by head from slice_axis, mul, matmul,
+    transpose, add, softmax and concat, so its gradient comes from their
+    VJPs rather than from the fused closed form."""
+    outs = []
+    off = 0
+    for dh in head_dims:
+        qs = ad.mul(ad.slice_axis(q, 2, off, off + dh), 1.0 / math.sqrt(dh))
+        ks = ad.slice_axis(k, 2, off, off + dh)
+        vs = ad.slice_axis(v, 2, off, off + dh)
+        scores = ad.matmul(qs, ad.transpose(ks, (0, 2, 1)))
+        if bias is not None:
+            scores = ad.add(scores, bias)
+        outs.append(ad.matmul(ad.softmax(scores, axis=-1), vs))
+        off += dh
+    return ad.concat(outs, axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,16 @@ class TestC05GradientChecks:
             w_ih, w_hh, lb, h0, c0 = (
                 Tensor(lstm_rng.uniform(shape, -1.0, 1.0), requires_grad=True)
                 for shape in ((3, 8), (2, 8), (8,), (2, 2), (2, 2)))
+            # attention inputs from their own stream too: even heads over
+            # a padded source, ragged heads (5 over 3) under a causal mask
+            attn_rng = RngState(700 + trial)
+            aq, ak, av, rq, rk, rv = (
+                Tensor(attn_rng.uniform(shape, -1.0, 1.0), requires_grad=True)
+                for shape in ((2, 3, 4), (2, 4, 4), (2, 4, 4),
+                              (2, 3, 5), (2, 3, 5), (2, 3, 5)))
+            pad_bias = Tensor(np.where(np.arange(4)[None, None, :] >= np.array(
+                [[[4]], [[2]]]), ad.NEG_INF, 0.0))
+            causal = Tensor(np.triu(np.full((1, 3, 3), ad.NEG_INF), k=1))
             cases = [
                 (lambda: ad.add(a, b), [a, b]),
                 (lambda: ad.sub(a, b), [a, b]),
@@ -264,6 +274,8 @@ class TestC05GradientChecks:
                 (lambda: ad.lstm(x3, w_ih, w_hh, lb)[0], [x3, w_ih, w_hh, lb]),
                 (lambda: ad.lstm(x3, w_ih, w_hh, lb, h0, c0)[1],
                  [x3, w_ih, w_hh, lb, h0, c0]),
+                (lambda: ad.attention(aq, ak, av, pad_bias, [2, 2]), [aq, ak, av]),
+                (lambda: ad.attention(rq, rk, rv, causal, [2, 2, 1]), [rq, rk, rv]),
             ]
             for build, tensors in cases:
                 if tensors is None:

@@ -7,7 +7,7 @@ import dmt.autodiff as ad
 from dmt.autodiff import RngState, Tensor
 from dmt.errors import ShapeError
 
-from oracles import fd_grad, lstm_reference, max_rel_err
+from oracles import attention_reference, fd_grad, lstm_reference, max_rel_err
 
 GRAD_TOL = 1e-4
 FD_H = 1e-5
@@ -391,6 +391,65 @@ class TestLstm:
             ad.lstm(x, w_hh, w_hh, b)
         with pytest.raises(ShapeError):
             ad.lstm(x, w_ih, w_hh, b, h0=Tensor(np.zeros((2, self.H))))
+
+
+class TestAttention:
+    HEADS = {"even": [4, 4], "ragged": [3, 3, 2]}
+
+    @staticmethod
+    def bias_of(kind, tq, tk):
+        if kind == "none":
+            return None
+        if kind == "causal":
+            return Tensor(np.triu(np.full((tq, tk), ad.NEG_INF), k=1)[None])
+        # source pads: row 1 has two pads, row 2 is all pad
+        pad = np.zeros((3, tk), dtype=bool)
+        pad[1, tk - 2:] = True
+        pad[2] = True
+        return Tensor(np.where(pad[:, None, :], ad.NEG_INF, 0.0))
+
+    @pytest.mark.parametrize("heads", sorted(HEADS))
+    @pytest.mark.parametrize("bias_kind, tq, tk", [
+        ("none", 3, 5), ("none", 1, 5), ("pad", 3, 5), ("pad", 1, 5), ("causal", 4, 4)])
+    def test_matches_per_head_reference(self, heads, bias_kind, tq, tk):
+        """Output, q/k/v gradients and fault count of the fused op agree
+        with the per-head composition, with Tq != Tk, the decode step's
+        Tq = 1, no bias, a causal bias, and source pads with one fully
+        masked row."""
+        dims = self.HEADS[heads]
+        rng = RngState(60 + tq + tk)
+        d = sum(dims)
+        q, k, v = rand(rng, 3, tq, d), rand(rng, 3, tk, d), rand(rng, 3, tk, d)
+        bias = self.bias_of(bias_kind, tq, tk)
+        w = rng.uniform((3, tq, d), -1.0, 1.0)
+
+        def run(fn):
+            ad.reset_faults()
+            out = fn(q, k, v, bias, dims)
+            faults = ad.fault_count()
+            ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            grads = [t.grad for t in (q, k, v)]
+            ad.zero_grad([q, k, v])
+            return out.data, grads, faults
+
+        out, grads, faults = run(ad.attention)
+        ref_out, ref_grads, ref_faults = run(attention_reference)
+        ad.reset_faults()
+        assert out.shape == (3, tq, d)
+        assert faults == ref_faults == (len(dims) * tq if bias_kind == "pad" else 0)
+        assert rel_diff(out, ref_out) <= 1e-12
+        for got, want in zip(grads, ref_grads):
+            assert got is not None and rel_diff(got, want) <= 1e-12
+
+    def test_mismatched_shapes_rejected(self):
+        x = Tensor(np.zeros((2, 3, 8)))
+        with pytest.raises(ShapeError):
+            ad.attention(x, Tensor(np.zeros((2, 3, 6))), Tensor(np.zeros((2, 3, 6))),
+                         None, [4, 4])
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, None, [4, 3])
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, Tensor(np.zeros((2, 3, 4))), [4, 4])
 
 
 class TestBackward:

@@ -95,6 +95,22 @@ class TestTapeSize:
             ad.zero_grad(model.params)
         assert sizes[0] == sizes[1] == sizes[2]
 
+    def test_transformer_forward_tape_does_not_grow_with_heads(self):
+        """One fused attention node for all heads: the tape of a training
+        forward pass has the same length for 1, 2 and 4 heads."""
+        src, pad, tgt = random_batch(RngState(5), 2, 4, 3, 12, 12, pad_cols=1)
+        sizes = []
+        for n_heads in (1, 2, 4):
+            cfg = config_for_arch("transformer", enc_layers=1, dec_layers=1, d_model=8,
+                                  n_heads=n_heads, d_ffn=16, max_positions=32)
+            model = build_model(cfg, vocab_of_size(12), vocab_of_size(12), 0)
+            before = ad.tape_size()
+            logits = model.forward(src, pad, tgt, training=True, rng=RngState(1))
+            loss = label_smoothed_loss(logits, np.roll(tgt, -1, axis=1))
+            sizes.append(ad.tape_size() - before)
+            ad.backward(loss)
+        assert sizes[0] == sizes[1] == sizes[2]
+
 
 class TestBuild:
     @pytest.mark.parametrize("arch", ARCHS)
@@ -183,6 +199,29 @@ class TestForwardContracts:
         memory = model.encode(np.array([[4, 5]]))
         with pytest.raises(ShapeError):
             model.decode_step(memory, np.array([[4, 5]]))
+
+    def test_ragged_heads_step_and_causality(self):
+        """Width 10 over 3 heads (4/3/3): incremental steps reproduce the
+        teacher-forced logits at every position, and a future target token
+        changes no earlier logit."""
+        cfg = config_for_arch("transformer", enc_layers=1, dec_layers=2, d_model=10,
+                              n_heads=3, d_ffn=12, dropout=0.0, max_positions=32,
+                              allow_uneven_heads=True)
+        assert cfg.head_dims() == [4, 3, 3]
+        model = build_model(cfg, vocab_of_size(12), vocab_of_size(12), 0)
+        src, pad, tgt = random_batch(RngState(6), 2, 5, 6, 12, 12, pad_cols=2)
+        with ad.no_grad():
+            memory = model.encode(src, pad)
+            full = model.decode_step(memory, tgt).data
+            state = model.init_state(memory)
+            for t in range(tgt.shape[1]):
+                logits, state = model.step(state, tgt[:, t])
+                np.testing.assert_allclose(logits, full[:, t], rtol=0, atol=1e-9)
+            for t in range(tgt.shape[1] - 1):
+                bumped = tgt.copy()
+                bumped[:, t + 1] = (bumped[:, t + 1] - 4 + 1) % 8 + 4
+                out = model.decode_step(memory, bumped).data
+                assert np.array_equal(out[:, :t + 1], full[:, :t + 1])
 
     def test_bilstm_memory_is_projected_to_decoder_width(self):
         # both directions' states and final states are projected from 2H to H
