@@ -3,10 +3,12 @@
 
 One search loop, ``_search``, drives a model through the incremental
 contract of ``models``: ``init_state(memory)``, then ``step(state,
-last_ids)`` once per position. Its rows are sentences x beam, and
-``state.select(rows)`` carries parents forward and drops finished
-hypotheses and sentences. A model with only ``encode``/``decode_step`` is
-wrapped in RecomputeDecoder, which re-runs the whole prefix every step.
+last_ids)`` once per position. ``step`` runs the same decoder body as the
+teacher-forced ``decode_step`` that training uses, one token at a time.
+The loop's rows are sentences x beam, and ``state.select(rows)`` carries
+parents forward and drops finished hypotheses and sentences. A
+sentence's length cap is also kept within the positions the model can
+feed (``max_positions`` of the conv and transformer configs).
 ``greedy_decode_batch``, ``greedy_decode`` and ``beam_decode`` wrap the
 search; ``decode_many`` (``translate_lines``, dev BLEU in training) runs
 it DECODE_CHUNK sentences at a time.
@@ -28,7 +30,7 @@ from .errors import ConfigError
 from .pipeline import PipelineContext
 from .subword import BOS_ID, EOS_ID, PAD_ID
 
-__all__ = ["DecodeConfig", "Hypothesis", "RecomputeDecoder", "greedy_decode",
+__all__ = ["DecodeConfig", "Hypothesis", "greedy_decode",
            "greedy_decode_batch", "decode_many", "beam_decode", "translate_lines"]
 
 DECODE_CHUNK = 64  # sentences per search in decode_many
@@ -72,45 +74,6 @@ class Hypothesis:
     def sort_key(self):
         return (self.normalized_score, self.logprob, -len(self.ids),
                 tuple(-i for i in self.ids))
-
-
-@dataclass(frozen=True)
-class _PrefixState:
-    memory: object                # encoder memory, one row per hypothesis
-    prefix: np.ndarray = None     # [B, t] ids fed so far
-
-    def select(self, rows) -> "_PrefixState":
-        rows = np.asarray(rows, dtype=np.int64)
-        return _PrefixState(self.memory.select(rows), self.prefix[rows])
-
-
-class RecomputeDecoder:
-    """The incremental contract for a model that implements only
-    ``encode``/``decode_step``: the state is the encoder memory and the
-    prefix of each row, and every step re-runs ``decode_step`` over the
-    whole prefix, so a step costs time linear in its position. It decodes
-    duck-typed models, and it is the reference the models' own ``step``
-    is tested against."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def encode(self, src_ids, src_pad_mask=None):
-        return self.model.encode(src_ids, src_pad_mask)
-
-    def init_state(self, memory) -> _PrefixState:
-        return _PrefixState(memory)
-
-    def step(self, state: _PrefixState, last_ids):
-        last = np.asarray(last_ids, dtype=np.int64)[:, None]
-        prefix = last if state.prefix is None else np.concatenate(
-            [state.prefix, last], axis=1)
-        logits = self.model.decode_step(state.memory, prefix).data[:, -1, :]
-        return logits, _PrefixState(state.memory, prefix)
-
-
-def _incremental(model):
-    return model if hasattr(model, "init_state") else RecomputeDecoder(model)
 
 
 def _step_logprobs(logits: np.ndarray) -> np.ndarray:
@@ -165,19 +128,21 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     """
     alpha = config.length_penalty
     n = src.shape[0]
-    caps = np.array([config.resolved_max_len(int(k)) for k in (~pad_mask).sum(axis=1)])
+    # a hypothesis of c tokens feeds positions 0 .. c - 1
+    limit = getattr(getattr(model, "config", None), "max_positions", None) or np.inf
+    caps = np.array([min(config.resolved_max_len(int(k)), limit)
+                     for k in (~pad_mask).sum(axis=1)])
     bound = np.array([float(c) ** alpha for c in caps])  # best score / bound: best possible
     done = [[] for _ in range(n)]
     best_done = np.full(n, np.nan)  # best finished normalized score; NaN: none yet
-    decoder = _incremental(model)
     with ad.no_grad():
-        state = decoder.init_state(model.encode(src, pad_mask))
+        state = model.init_state(model.encode(src, pad_mask))
         sent = np.arange(n)                     # the sentence of each live row
         ids = np.zeros((n, 0), dtype=np.int64)  # the tokens of each live row
         logprob = np.zeros(n)
         last = np.full(n, BOS_ID, dtype=np.int64)
         while len(sent):
-            logits, state = decoder.step(state, last)
+            logits, state = model.step(state, last)
             # expand outlives the step: freed before the next one is made, its
             # pages went back to the system and faulted in again every step
             expand = _step_logprobs(logits)

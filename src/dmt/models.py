@@ -1,25 +1,25 @@
 """The four encoder-decoder architectures and the label-smoothed loss.
 
 All models share one contract. ``encode`` turns padded source id batches
-into an EncoderMemory. ``decode_step`` produces teacher-forced logits for
-every position of a BOS-led target prefix; training uses it, and its
-computation is causal (logits at position t never see prefix positions
-beyond t). Masked source positions receive exactly zero attention weight
-via additive -inf biases.
+into an EncoderMemory. ``init_state(memory)`` returns a DecodeState, and
+each model runs its decoder through one body, ``_decode(state, ids)``,
+which feeds ids[B, T] at the state's next T positions and returns their
+logits [B, T, V] and the state after them. ``decode_step`` is that body
+over a whole BOS-led target prefix from ``init_state``: the teacher-forced
+logits that training uses, causal (logits at position t never see prefix
+positions beyond t). ``step(state, last_ids)`` is the same body one token
+per row (BOS first), returning ``(logits[B, V], state)`` at a cost that
+does not grow with the prefix. Masked source positions receive exactly
+zero attention weight via additive -inf biases.
 
-Inference decodes incrementally. ``init_state(memory)`` returns a
-DecodeState, and ``step(state, last_ids)`` feeds one token per row (BOS
-first) and returns ``(logits[B, V], state)``: the logits ``decode_step``
-gives at the newest position, at a cost that does not grow with the
-prefix. The LSTM carries (h, c) and runs the same fused ``ad.lstm`` op
-with T = 1 that ``encode`` and ``decode_step`` run over whole sequences;
-the transformer caches per-layer self-attention keys and values and
-projects the encoder memory for cross-attention once, and the conv
-decoder keeps each layer's last k - 1 inputs. ``state.select(rows)``
+The LSTM state carries (h, c); the transformer caches per-layer
+self-attention keys and values and projects the encoder memory for
+cross-attention once, in ``init_state``; the conv decoder keeps each
+layer's last k - 1 inputs. ``init_state`` is differentiable, so training
+reaches the encoder through it; the state ``_decode`` returns is built
+from plain arrays and records nothing on the tape. ``state.select(rows)``
 reorders, repeats or drops rows, as search does with parent and finished
-hypotheses. Models that implement only ``encode``/``decode_step`` decode
-through ``decoding.RecomputeDecoder``, which re-runs the whole prefix
-every step.
+hypotheses.
 """
 
 from __future__ import annotations
@@ -179,9 +179,9 @@ class DecodeState:
         return DecodeState(self.t, **{k: Tensor(v.data[rows])
                                       for k, v in self.tensors.items()})
 
-    def advance(self, **updates) -> "DecodeState":
-        """The state one position later, with some tensors replaced."""
-        return DecodeState(self.t + 1, **{**self.tensors, **updates})
+    def advance(self, n: int, **updates) -> "DecodeState":
+        """The state n positions later, with some tensors replaced."""
+        return DecodeState(self.t + n, **{**self.tensors, **updates})
 
 
 def _pad_bias(pad_mask: np.ndarray) -> Tensor:
@@ -199,6 +199,13 @@ def _dot_attention(q, states, states_t, bias):
     (states_t is their [B, H, S] transpose)."""
     attn = ad.softmax(ad.add(ad.matmul(q, states_t), bias), axis=-1)
     return ad.matmul(attn, states)
+
+
+def _tail(prev: np.ndarray, new: np.ndarray, n: int) -> np.ndarray:
+    """The last n positions (axis 1) of prev followed by new; n may be 0."""
+    if new.shape[1] < n:
+        new = np.concatenate([prev, new], axis=1)
+    return new[:, new.shape[1] - n:]
 
 
 def _linear(x, w, b=None):
@@ -252,7 +259,8 @@ class _ParamFactory:
 
 
 class SeqModel:
-    """Base: parameter registry, vocab bookkeeping, shared loss plumbing."""
+    """Base: parameter registry, vocab bookkeeping, shared loss plumbing,
+    and the two ways of running a subclass's decoder body."""
 
     def __init__(self, config, src_vocab, tgt_vocab, seed: int):
         config.validate()
@@ -274,8 +282,26 @@ class SeqModel:
     def encode(self, src_ids, src_pad_mask=None, training=False, rng=None):
         raise NotImplementedError
 
-    def decode_step(self, memory, tgt_prefix, training=False, rng=None):
+    def init_state(self, memory) -> DecodeState:
         raise NotImplementedError
+
+    def _decode(self, state: DecodeState, ids, training=False, rng=None):
+        """The decoder over ids[B, T] fed at the state's next T positions
+        (T > 1 only from ``init_state``): (logits Tensor[B, T, V], the state
+        after them)."""
+        raise NotImplementedError
+
+    def decode_step(self, memory, tgt_prefix, training=False, rng=None):
+        """Teacher-forced logits [B, T, V] at every position of a BOS-led
+        prefix. Each subclass binds it as its own attribute, so that
+        perfbench's tracer can wrap it per class."""
+        tgt_prefix = self._prep_prefix(tgt_prefix)
+        return self._decode(self.init_state(memory), tgt_prefix, training, rng)[0]
+
+    def step(self, state: DecodeState, last_ids):
+        """Feed one token per row; (logits [B, V], the next state)."""
+        logits, state = self._decode(state, np.reshape(last_ids, (-1, 1)))
+        return logits.data[:, 0], state
 
     def forward(self, src_ids, src_pad_mask, tgt_prefix, training=False, rng=None):
         memory = self.encode(src_ids, src_pad_mask, training=training, rng=rng)
@@ -354,13 +380,9 @@ class LstmModel(SeqModel):
     @staticmethod
     def _reverse_perm(pad_mask: np.ndarray) -> np.ndarray:
         """Per-sentence index map reversing the real span, fixing pads."""
-        b, s = pad_mask.shape
-        lengths = (~pad_mask).sum(axis=1)
-        perm = np.tile(np.arange(s), (b, 1))
-        for i in range(b):
-            n = lengths[i]
-            perm[i, :n] = np.arange(n - 1, -1, -1)
-        return perm
+        lengths = (~pad_mask).sum(axis=1, keepdims=True)
+        t = np.arange(pad_mask.shape[1])[None, :]
+        return np.where(t < lengths, lengths - 1 - t, t)
 
     def encode(self, src_ids, src_pad_mask=None, training=False, rng=None):
         cfg = self.config
@@ -399,31 +421,23 @@ class LstmModel(SeqModel):
         return ad.tanh(ad.matmul(ad.concat([hs, ctx], axis=2),
                                  self.params["attn_combine.w"]))
 
-    def decode_step(self, memory, tgt_prefix, training=False, rng=None):
-        cfg = self.config
-        tgt_prefix = self._prep_prefix(tgt_prefix)
-        x = ad.embedding(self.params["tgt_embed"], tgt_prefix)
-        x = ad.dropout(x, cfg.dropout, rng, training)
-        hs, _ = self._recur("dec", x, memory.h0, memory.c0)
-        out = self._combine(hs, memory.states, ad.transpose(memory.states, (0, 2, 1)),
-                            _pad_bias(memory.pad_mask))
-        out = ad.dropout(out, cfg.dropout, rng, training)
-        return _linear(out, self.params["out.w"], self.params["out.b"])
+    decode_step = SeqModel.decode_step
 
     def init_state(self, memory) -> DecodeState:
         return DecodeState(0, h=memory.h0, c=memory.c0, states=memory.states,
                            states_t=ad.transpose(memory.states, (0, 2, 1)),
                            bias=_pad_bias(memory.pad_mask))
 
-    def step(self, state: DecodeState, last_ids):
-        s = state.tensors
-        b, hd = len(last_ids), self.config.hidden_dim
-        x = ad.embedding(self.params["tgt_embed"], np.reshape(last_ids, (b, 1)))
+    def _decode(self, state: DecodeState, ids, training=False, rng=None):
+        cfg, s = self.config, state.tensors
+        x = ad.embedding(self.params["tgt_embed"], ids)
+        x = ad.dropout(x, cfg.dropout, rng, training)
         hs, cs = self._recur("dec", x, s["h"], s["c"])
         out = self._combine(hs, s["states"], s["states_t"], s["bias"])
+        out = ad.dropout(out, cfg.dropout, rng, training)
         logits = _linear(out, self.params["out.w"], self.params["out.b"])
-        return logits.data[:, 0], state.advance(h=ad.reshape(hs, (b, hd)),
-                                                c=ad.reshape(cs, (b, hd)))
+        return logits, state.advance(ids.shape[1], h=Tensor(hs.data[:, -1]),
+                                     c=Tensor(cs.data[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -478,26 +492,7 @@ class ConvModel(SeqModel):
             x = ad.mul(ad.add(x, g), keep)
         return EncoderMemory(states=x, pad_mask=pad, fully_masked=fully_masked)
 
-    def _dec_layer(self, l, y, conv_in, pad_mode, states, states_t, bias):
-        """Decoder layer l: y plus a gated convolution of conv_in and its
-        attention over the encoder states."""
-        h = ad.glu(ad.add(ad.conv1d(conv_in, self.params[f"dec.l{l}.kernel"], pad_mode),
-                          self.params[f"dec.l{l}.b"]), axis=-1)
-        return ad.add(y, ad.add(h, _dot_attention(h, states, states_t, bias)))
-
-    def decode_step(self, memory, tgt_prefix, training=False, rng=None):
-        cfg = self.config
-        tgt_prefix = self._prep_prefix(tgt_prefix)
-        b, t_len = tgt_prefix.shape
-        bias = _pad_bias(memory.pad_mask)
-        states_t = ad.transpose(memory.states, (0, 2, 1))
-        y = ad.add(ad.embedding(self.params["tgt_embed"], tgt_prefix),
-                   self._positions("dec_pos", t_len))
-        y = ad.dropout(y, cfg.dropout, rng, training)
-        for l in range(cfg.dec_layers):
-            y = self._dec_layer(l, y, y, "causal", memory.states, states_t, bias)
-        y = ad.dropout(y, cfg.dropout, rng, training)
-        return _linear(y, self.params["out.w"], self.params["out.b"])
+    decode_step = SeqModel.decode_step
 
     def init_state(self, memory) -> DecodeState:
         cfg = self.config
@@ -510,19 +505,24 @@ class ConvModel(SeqModel):
                            states_t=ad.transpose(memory.states, (0, 2, 1)),
                            bias=_pad_bias(memory.pad_mask), **windows)
 
-    def step(self, state: DecodeState, last_ids):
-        s = state.tensors
-        b = len(last_ids)
-        y = ad.add(ad.embedding(self.params["tgt_embed"], np.reshape(last_ids, (b, 1))),
-                   self._positions("dec_pos", 1, start=state.t))
+    def _decode(self, state: DecodeState, ids, training=False, rng=None):
+        cfg, s, p = self.config, state.tensors, self.params
+        n = ids.shape[1]
+        y = ad.add(ad.embedding(p["tgt_embed"], ids),
+                   self._positions("dec_pos", n, start=state.t))
+        y = ad.dropout(y, cfg.dropout, rng, training)
         windows = {}
-        for l in range(self.config.dec_layers):
-            conv_in = ad.concat([s[f"win{l}"], y], axis=1)
-            windows[f"win{l}"] = ad.slice_axis(conv_in, 1, 1, conv_in.shape[1])
-            y = self._dec_layer(l, y, conv_in, "valid", s["states"], s["states_t"],
-                                s["bias"])
-        logits = _linear(y, self.params["out.w"], self.params["out.b"])
-        return logits.data[:, 0], state.advance(**windows)
+        for l in range(cfg.dec_layers):
+            win = s[f"win{l}"]
+            # from position 0, causal padding supplies the zeros before it
+            conv_in, mode = (ad.concat([win, y], axis=1), "valid") if state.t else (y, "causal")
+            windows[f"win{l}"] = Tensor(_tail(win.data, conv_in.data, cfg.kernel_width - 1))
+            h = ad.glu(ad.add(ad.conv1d(conv_in, p[f"dec.l{l}.kernel"], mode),
+                              p[f"dec.l{l}.b"]), axis=-1)
+            y = ad.add(y, ad.add(h, _dot_attention(h, s["states"], s["states_t"], s["bias"])))
+        y = ad.dropout(y, cfg.dropout, rng, training)
+        logits = _linear(y, p["out.w"], p["out.b"])
+        return logits, state.advance(n, **windows)
 
 
 # ---------------------------------------------------------------------------
@@ -620,59 +620,43 @@ class TransformerModel(SeqModel):
         return EncoderMemory(states=self._ln("enc.ln", x), pad_mask=pad,
                              fully_masked=fully_masked)
 
-    def decode_step(self, memory, tgt_prefix, training=False, rng=None):
-        cfg = self.config
-        tgt_prefix = self._prep_prefix(tgt_prefix)
-        t_len = tgt_prefix.shape[1]
-        drop = lambda t: ad.dropout(t, cfg.dropout, rng, training)
-        causal = _causal_bias(t_len)
-        cross_bias = _pad_bias(memory.pad_mask)
-        y = self._embed(self.params["tgt_embed"], tgt_prefix, rng, training)
-        for l in range(cfg.dec_layers):
-            base = f"dec.l{l}"
-            a = self._ln(f"{base}.self.ln", y)
-            y = ad.add(y, drop(self._attention(f"{base}.self", a, a, causal)))
-            a = self._ln(f"{base}.cross.ln", y)
-            y = ad.add(y, drop(self._attention(f"{base}.cross", a,
-                                               memory.states, cross_bias)))
-            y = ad.add(y, drop(self._ffn(f"{base}.ffn",
-                                         self._ln(f"{base}.ffn.ln", y))))
-        y = self._ln("dec.ln", y)
-        return _linear(y, self.params["out.w"], self.params["out.b"])
+    decode_step = SeqModel.decode_step
 
     def init_state(self, memory) -> DecodeState:
-        b = memory.states.shape[0]
-        empty = Tensor(np.zeros((b, 0, self.config.d_model)))
         cache = {}
         for l in range(self.config.dec_layers):
             base = f"dec.l{l}.cross"
-            cache[f"self_k{l}"] = cache[f"self_v{l}"] = empty
             cache[f"cross_k{l}"] = self._proj(base, "k", memory.states)
             cache[f"cross_v{l}"] = self._proj(base, "v", memory.states)
         return DecodeState(0, bias=_pad_bias(memory.pad_mask), **cache)
 
-    def step(self, state: DecodeState, last_ids):
-        s = state.tensors
-        ids = np.reshape(last_ids, (len(last_ids), 1))
-        y = self._embed(self.params["tgt_embed"], ids, None, False, start=state.t)
+    def _decode(self, state: DecodeState, ids, training=False, rng=None):
+        cfg, s = self.config, state.tensors
+        n = ids.shape[1]
+        drop = lambda t: ad.dropout(t, cfg.dropout, rng, training)
+        # more than one position is the whole prefix from position 0; a
+        # single new position may see every key
+        causal = _causal_bias(n) if n > 1 else None
+        y = self._embed(self.params["tgt_embed"], ids, rng, training, start=state.t)
         cache = {}
-        for l in range(self.config.dec_layers):
+        for l in range(cfg.dec_layers):
             base = f"dec.l{l}"
             a = self._ln(f"{base}.self.ln", y)
-            q = self._proj(f"{base}.self", "q", a)
-            for kv in ("k", "v"):
-                cache[f"self_{kv}{l}"] = ad.concat(
-                    [s[f"self_{kv}{l}"], self._proj(f"{base}.self", kv, a)], axis=1)
-            y = ad.add(y, self._heads(f"{base}.self", q, cache[f"self_k{l}"],
-                                      cache[f"self_v{l}"], None))
+            q, k, v = (self._proj(f"{base}.self", name, a) for name in "qkv")
+            if state.t:  # prepend the cached keys and values of earlier positions
+                k = ad.concat([s[f"self_k{l}"], k], axis=1)
+                v = ad.concat([s[f"self_v{l}"], v], axis=1)
+            cache[f"self_k{l}"], cache[f"self_v{l}"] = Tensor(k.data), Tensor(v.data)
+            y = ad.add(y, drop(self._heads(f"{base}.self", q, k, v, causal)))
             a = self._ln(f"{base}.cross.ln", y)
             q = self._proj(f"{base}.cross", "q", a)
-            y = ad.add(y, self._heads(f"{base}.cross", q, s[f"cross_k{l}"],
-                                      s[f"cross_v{l}"], s["bias"]))
-            y = ad.add(y, self._ffn(f"{base}.ffn", self._ln(f"{base}.ffn.ln", y)))
+            y = ad.add(y, drop(self._heads(f"{base}.cross", q, s[f"cross_k{l}"],
+                                           s[f"cross_v{l}"], s["bias"])))
+            y = ad.add(y, drop(self._ffn(f"{base}.ffn",
+                                         self._ln(f"{base}.ffn.ln", y))))
         y = self._ln("dec.ln", y)
         logits = _linear(y, self.params["out.w"], self.params["out.b"])
-        return logits.data[:, 0], state.advance(**cache)
+        return logits, state.advance(n, **cache)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Nothing here calls back into the code paths under test: gradients come
 from central finite differences, BLEU from direct n-gram enumeration,
 search optima from exhaustive enumeration of candidate sequences, the
 fused LSTM's reference is the per-step cell built from elementary ops, and
-the fused multi-head attention's reference is the per-head loop.
+the fused multi-head attention's reference is the per-head loop. The
+incremental decoders' reference, RecomputeDecoder, carries no decoder
+state at all: every step re-runs the teacher-forced ``decode_step`` over
+the whole prefix.
 """
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,3 +204,40 @@ def exhaustive_best(step_logprobs, vocab_size: int, eos_id: int, max_len: int,
 
     walk([], 0.0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# decoding: the whole prefix again at every step
+
+
+@dataclass(frozen=True)
+class PrefixState:
+    memory: object                # encoder memory, one row per hypothesis
+    prefix: np.ndarray = None     # [B, t] ids fed so far
+
+    def select(self, rows) -> "PrefixState":
+        rows = np.asarray(rows, dtype=np.int64)
+        return PrefixState(self.memory.select(rows), self.prefix[rows])
+
+
+class RecomputeDecoder:
+    """The incremental contract over a model's ``encode``/``decode_step``
+    alone: the state is the encoder memory and the prefix of each row, and
+    every step re-runs ``decode_step`` over the whole prefix, so a step
+    costs time linear in its position."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def encode(self, src_ids, src_pad_mask=None):
+        return self.model.encode(src_ids, src_pad_mask)
+
+    def init_state(self, memory) -> PrefixState:
+        return PrefixState(memory)
+
+    def step(self, state: PrefixState, last_ids):
+        last = np.asarray(last_ids, dtype=np.int64)[:, None]
+        prefix = last if state.prefix is None else np.concatenate(
+            [state.prefix, last], axis=1)
+        logits = self.model.decode_step(state.memory, prefix).data[:, -1, :]
+        return logits, PrefixState(state.memory, prefix)

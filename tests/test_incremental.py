@@ -1,19 +1,21 @@
 """Incremental decoding: every architecture's init_state/step against the
 teacher-forced decode_step it must reproduce, greedy and beam search
-through step against the full-recompute RecomputeDecoder, and sentences
-searched together against each searched alone."""
+through step against the full-recompute RecomputeDecoder of
+tests/oracles.py, and sentences searched together against each searched
+alone."""
 
 import numpy as np
 import pytest
 
 import dmt.autodiff as ad
 from dmt.autodiff import RngState
-from dmt.decoding import (DecodeConfig, RecomputeDecoder, beam_decode, decode_many,
-                          greedy_decode, greedy_decode_batch)
+from dmt.decoding import (DecodeConfig, beam_decode, decode_many, greedy_decode,
+                          greedy_decode_batch)
 from dmt.errors import ShapeError
 from dmt.models import build_model, config_for_arch
-from dmt.subword import BOS_ID, PAD_ID
+from dmt.subword import BOS_ID, EOS_ID, PAD_ID
 
+from oracles import RecomputeDecoder
 from test_decoding import tiny_real_model
 from test_models import ARCHS, tiny_config, tiny_model, vocab_of_size
 from toymodels import random_table_model
@@ -22,8 +24,11 @@ TOL = 1e-9
 STEPS = 7
 
 # edge configs beside the tiny ones: a conv window wider than the first
-# positions, and ragged transformer heads (8 over 3 -> 3/3/2)
+# positions, a zero-width conv window, and ragged transformer heads (8 over
+# 3 -> 3/3/2)
 EDGE_CONFIGS = {
+    "conv-k1": config_for_arch("conv", enc_layers=1, dec_layers=2, dim=6,
+                               kernel_width=1, dropout=0.0, max_positions=32),
     "conv-k5": config_for_arch("conv", enc_layers=1, dec_layers=2, dim=6,
                                kernel_width=5, dropout=0.0, max_positions=32),
     "transformer-uneven": config_for_arch("transformer", enc_layers=1, dec_layers=2,
@@ -98,6 +103,23 @@ def test_step_past_max_positions_rejected(arch):
         state.t = tiny_config(arch).max_positions
         with pytest.raises(ShapeError):
             model.step(state, np.array([BOS_ID]))
+
+
+@pytest.mark.parametrize("arch", ["transformer", "conv"])
+def test_length_cap_kept_within_max_positions(arch):
+    """A source whose default cap (2 * length + 10) passes max_positions
+    decodes to max_positions tokens, and the sentence searched beside it
+    decodes as it does alone."""
+    model = tiny_model(arch)
+    model.params["out.b"].data[EOS_ID] = -1e4  # every hypothesis runs to its cap
+    long_src, short_src = [4 + i % 8 for i in range(12)], [5, 6]
+    for beam in (1, 3):
+        cfg = DecodeConfig(beam=beam)
+        long_hyp, short_hyp = decode_many(model, [long_src, short_src], cfg)
+        alone = decode_many(model, [short_src], cfg)[0]
+        assert len(long_hyp.ids) == tiny_config(arch).max_positions
+        assert short_hyp.ids == alone.ids
+        assert abs(short_hyp.logprob - alone.logprob) <= TOL
 
 
 @pytest.mark.parametrize("arch", ARCHS)

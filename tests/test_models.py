@@ -1,5 +1,6 @@
 """Architecture contracts: shapes, causality, masking, loss semantics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -110,6 +111,32 @@ class TestTapeSize:
             sizes.append(ad.tape_size() - before)
             ad.backward(loss)
         assert sizes[0] == sizes[1] == sizes[2]
+
+
+# the loss and dropout stream position of one training forward per
+# architecture; any change to training's op order or dropout draws shows here
+PINNED_TRAINING_LOSS = {
+    "lstm": (2.4849346776910624, 420),
+    "bilstm": (2.484862352565579, 420),
+    "conv": (2.480197485506641, 360),
+    "transformer": (2.6259687575723976, 1440),
+}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_training_forward_matches_pinned_loss(arch):
+    cfg = dataclasses.replace(tiny_config(arch), dropout=0.1)
+    model = build_model(cfg, vocab_of_size(12), vocab_of_size(12), 4)
+    src = np.array([[4, 5, 6, 7, 8], [9, 10, 11, PAD_ID, PAD_ID], [6, 4, PAD_ID, PAD_ID, PAD_ID]])
+    tgt = np.array([[BOS_ID, 5, 7, 9, 11, EOS_ID], [BOS_ID, 8, 4, EOS_ID, PAD_ID, PAD_ID],
+                    [BOS_ID, 10, 6, 11, EOS_ID, PAD_ID]])
+    rng = RngState(2024)
+    logits = model.forward(src, src == PAD_ID, tgt[:, :-1], training=True, rng=rng)
+    loss = label_smoothed_loss(logits, tgt[:, 1:])
+    ad.backward(loss)
+    want_loss, want_position = PINNED_TRAINING_LOSS[arch]
+    assert loss.item() == pytest.approx(want_loss, rel=1e-12, abs=0)
+    assert rng.position == want_position
 
 
 class TestBuild:

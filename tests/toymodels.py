@@ -20,6 +20,17 @@ class TableMemory:
         return TableMemory([self.src_rows[r] for r in rows])
 
 
+class TableState:
+    """Each row's source ids and the ids fed to it so far, BOS first."""
+
+    def __init__(self, src_rows, fed):
+        self.src_rows = src_rows
+        self.fed = fed
+
+    def select(self, rows):
+        return TableState([self.src_rows[r] for r in rows], [self.fed[r] for r in rows])
+
+
 class TableModel:
     """Model protocol implementation backed by a logits function."""
 
@@ -45,6 +56,14 @@ class TableModel:
             for j in range(t):
                 out[i, j] = self.logits_fn(src, gen[:j])
         return Tensor(out)
+
+    def init_state(self, memory):
+        return TableState(memory.src_rows, [()] * len(memory.src_rows))
+
+    def step(self, state, last_ids):
+        fed = [f + (int(x),) for f, x in zip(state.fed, last_ids)]
+        logits = np.stack([self.logits_fn(src, f[1:]) for src, f in zip(state.src_rows, fed)])
+        return logits, TableState(state.src_rows, fed)
 
     def vocab_fingerprints(self):
         return self.src_vocab.fingerprint(), self.tgt_vocab.fingerprint()
