@@ -2,8 +2,8 @@
 over the corpus (not pooled corpus BLEU).
 
 Scores live in [0, 1]. A sentence with any zero n-gram precision -- which
-includes every candidate shorter than 4 tokens -- scores 0 unless epsilon
-smoothing is switched on.
+includes every candidate shorter than 4 tokens -- scores 0; there is no
+smoothing.
 """
 
 from __future__ import annotations
@@ -18,27 +18,12 @@ from .errors import ScoringError
 from .subword import undo_bpe
 
 __all__ = [
-    "BleuConfig", "BleuReport", "modified_precision", "sentence_bleu",
+    "BleuReport", "modified_precision", "sentence_bleu",
     "corpus_average", "score_corpus", "score_files",
 ]
 
-
-@dataclass(frozen=True)
-class BleuConfig:
-    max_n: int = 4
-    weights: tuple = (0.25, 0.25, 0.25, 0.25)
-    smooth_eps: float = 0.0  # added to zero precisions when > 0
-
-    def __post_init__(self):
-        if self.max_n < 1:
-            raise ScoringError(f"max_n must be >= 1, got {self.max_n}")
-        if len(self.weights) != self.max_n:
-            raise ScoringError("need one weight per n-gram order")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ScoringError(f"weights must sum to 1, got {sum(self.weights)}")
-
-
-DEFAULT_CONFIG = BleuConfig()
+MAX_N = 4               # n-gram orders 1 .. MAX_N
+WEIGHT = 1.0 / MAX_N    # each order's weight in the geometric mean
 
 
 @dataclass
@@ -84,26 +69,21 @@ def _effective_ref_len(candidate_len, references):
                key=lambda rl: (abs(rl - candidate_len), rl))
 
 
-def _sentence_bleu_counted(candidate, references, config: BleuConfig):
+def _sentence_bleu_counted(candidate, references):
     if not references:
         raise ScoringError("empty reference set")
     candidate = list(candidate)
     references = [list(r) for r in references]
     counts = [modified_precision(candidate, references, n)
-              for n in range(1, config.max_n + 1)]
+              for n in range(1, MAX_N + 1)]
     if not candidate:
         return 0.0, counts
 
     log_sum = 0.0
-    for w, (match, total) in zip(config.weights, counts):
+    for match, total in counts:
         if total == 0 or match == 0:
-            if config.smooth_eps > 0.0:
-                p = config.smooth_eps / max(total, 1)
-            else:
-                return 0.0, counts
-        else:
-            p = match / total
-        log_sum += w * math.log(p)
+            return 0.0, counts
+        log_sum += WEIGHT * math.log(match / total)
 
     c = len(candidate)
     r = _effective_ref_len(c, references)
@@ -111,13 +91,12 @@ def _sentence_bleu_counted(candidate, references, config: BleuConfig):
     return bp * math.exp(log_sum), counts
 
 
-def sentence_bleu(candidate, references,
-                  config: BleuConfig = DEFAULT_CONFIG) -> float:
+def sentence_bleu(candidate, references) -> float:
     """BLEU for one candidate against one or more references.
 
     Tokens are compared as given (whitespace-split surface text upstream).
     """
-    return _sentence_bleu_counted(candidate, references, config)[0]
+    return _sentence_bleu_counted(candidate, references)[0]
 
 
 def corpus_average(scores) -> BleuReport:
@@ -128,15 +107,14 @@ def corpus_average(scores) -> BleuReport:
     return BleuReport(per_sentence=scores, mean=math.fsum(scores) / len(scores))
 
 
-def score_corpus(candidates, reference_lists,
-                 config: BleuConfig = DEFAULT_CONFIG) -> BleuReport:
+def score_corpus(candidates, reference_lists) -> BleuReport:
     if len(candidates) != len(reference_lists):
         raise ScoringError(
             f"candidate/reference count mismatch: {len(candidates)} vs "
             f"{len(reference_lists)}")
     scores, counts = [], []
     for cand, refs in zip(candidates, reference_lists):
-        s, c = _sentence_bleu_counted(cand, refs, config)
+        s, c = _sentence_bleu_counted(cand, refs)
         scores.append(s)
         counts.append(c)
     report = corpus_average(scores)
@@ -156,8 +134,7 @@ def _surface_tokens(line: str, do_undo_bpe: bool, do_detok: bool,
     return tokens
 
 
-def score_files(cand_path, ref_path, config: BleuConfig = DEFAULT_CONFIG,
-                do_undo_bpe: bool = False, do_detok: bool = False,
+def score_files(cand_path, ref_path, do_undo_bpe: bool = False, do_detok: bool = False,
                 detranslit_script=None, report_path=None) -> BleuReport:
     """Score two line-aligned files; optional preprocessing mirrors the
     generation pipeline so either scoring surface is reproducible."""
@@ -171,7 +148,7 @@ def score_files(cand_path, ref_path, config: BleuConfig = DEFAULT_CONFIG,
              for ln in cand_lines]
     refs = [[_surface_tokens(ln, do_undo_bpe, do_detok, detranslit_script)]
             for ln in ref_lines]
-    report = score_corpus(cands, refs, config)
+    report = score_corpus(cands, refs)
     if report_path is not None:
         lines = [f"{i}\t{s:.6f}" for i, s in enumerate(report.per_sentence)]
         lines.append(report.summary_line())

@@ -22,7 +22,7 @@ from .experiment import ExperimentConfig, aggregate_report, run_experiment
 from .pipeline import PipelineContext
 from .subword import (BpeModel, Vocabulary, apply_bpe, build_vocab, learn_bpe,
                       undo_bpe_counted)
-from .training import load_checkpoint, restore_model
+from .training import load_checkpoint, parse_entries, restore_model
 
 # script flag values accepted by translate/backtranslate/score
 _SCRIPT_LANG = {"devanagari": "sn", "kannada": "kn", "tamil": "ta",
@@ -219,13 +219,7 @@ def cmd_score(args):
 
 
 def cmd_run(args):
-    overrides = {}
-    for item in args.set or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise DmtError(f"--set wants key=value, got {item!r}")
-        overrides[key] = value
-    config = ExperimentConfig.from_file(args.config, overrides)
+    config = ExperimentConfig.from_file(args.config, parse_entries(args.set or []))
     run_dir = run_experiment(config, runs_dir=args.runs_dir)
     print(run_dir)
 

@@ -12,34 +12,28 @@ from pathlib import Path
 
 from .autodiff import RngState, fan_seed
 from .errors import CorpusError
+from .textnorm import LANG_SCRIPT
 
 __all__ = [
     "LanguageTag", "SentencePair", "ParallelCorpus", "MonolingualCorpus",
-    "CorpusStats", "register_language", "load_parallel", "load_monolingual",
+    "CorpusStats", "load_parallel", "load_monolingual",
     "save_parallel", "read_lines", "write_lines", "split", "stats",
 ]
 
-_KNOWN_TAGS = {"kn", "ml", "ta", "te", "tu", "sn"}
 _ALIASES = {"sa": "sn"}
-
-
-def register_language(code: str):
-    """Register an extension language tag."""
-    if not code or not code.isalpha():
-        raise CorpusError(f"bad language code {code!r}")
-    _KNOWN_TAGS.add(code)
 
 
 @dataclass(frozen=True)
 class LanguageTag:
+    """A language code with a script in textnorm.LANG_SCRIPT, after the
+    alias sa -> sn."""
     code: str
 
     def __post_init__(self):
         code = _ALIASES.get(self.code, self.code)
-        if code not in _KNOWN_TAGS:
+        if code not in LANG_SCRIPT:
             raise CorpusError(
-                f"unknown language tag {self.code!r}; known: {sorted(_KNOWN_TAGS)} "
-                f"(register extensions with register_language)")
+                f"unknown language tag {self.code!r}; known: {sorted(LANG_SCRIPT)}")
         object.__setattr__(self, "code", code)
 
     def __str__(self):
@@ -183,6 +177,8 @@ def split(corpus: ParallelCorpus, train_n: int, dev_n: int, test_n: int,
 
     shuffle=False takes the partition from the corpus in file order.
     """
+    if min(train_n, dev_n, test_n) < 0:
+        raise CorpusError(f"negative split size in {train_n}/{dev_n}/{test_n}")
     total = train_n + dev_n + test_n
     if total > len(corpus):
         raise CorpusError(

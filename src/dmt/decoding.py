@@ -8,7 +8,8 @@ teacher-forced ``decode_step`` that training uses, one token at a time.
 The loop's rows are sentences x beam, and ``state.select(rows)`` carries
 parents forward and drops finished hypotheses and sentences. A
 sentence's length cap is also kept within the positions the model can
-feed (``max_positions`` of the conv and transformer configs).
+feed (``max_positions`` of the conv and transformer configs), and
+``translate_lines`` leaves a source longer than that untranslated.
 ``greedy_decode_batch``, ``greedy_decode`` and ``beam_decode`` wrap the
 search; ``decode_many`` (``translate_lines``, dev BLEU in training) runs
 it DECODE_CHUNK sentences at a time.
@@ -113,6 +114,11 @@ def _top(score: np.ndarray, sent: np.ndarray, beam: int):
     return rows, toks, flat[order]
 
 
+def _max_positions(model):
+    """The most positions the model can feed (inf when it has no bound)."""
+    return getattr(getattr(model, "config", None), "max_positions", None) or np.inf
+
+
 def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     """Beam search over every row of a padded source batch at once; one
     n-best list per source row, best first.
@@ -129,7 +135,7 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     alpha = config.length_penalty
     n = src.shape[0]
     # a hypothesis of c tokens feeds positions 0 .. c - 1
-    limit = getattr(getattr(model, "config", None), "max_positions", None) or np.inf
+    limit = _max_positions(model)
     caps = np.array([min(config.resolved_max_len(int(k)), limit)
                      for k in (~pad_mask).sum(axis=1)])
     bound = np.array([float(c) ** alpha for c in caps])  # best score / bound: best possible
@@ -214,16 +220,21 @@ def translate_lines(model, lines, ctx: PipelineContext,
     """The full pipeline over many lines: normalize, tokenize,
     transliterate, BPE, decode (through decode_many), un-BPE,
     detokenize, detransliterate back to the target script. A line with
-    no subwords translates to ""."""
+    no subwords, or with more source ids than the model has positions,
+    translates to ""."""
     config = config or DecodeConfig()
     ctx.check_model(model)
+    limit = _max_positions(model)
     out = [""] * len(lines)
     rows, todo = [], []
     for i, ln in enumerate(lines):
         subwords = ctx.source_subwords(ln)
-        if subwords:  # encode() appends EOS, so test emptiness before it
+        if not subwords:  # encode() appends EOS, so test emptiness before it
+            continue
+        ids = ctx.src_vocab.encode(subwords)
+        if len(ids) <= limit:
             rows.append(i)
-            todo.append(ctx.src_vocab.encode(subwords))
+            todo.append(ids)
     for i, hyp in zip(rows, decode_many(model, todo, config)):
         out[i] = ctx.target_text(list(hyp.output_ids))
     return out

@@ -37,7 +37,8 @@ from .errors import ConfigError, ExperimentError
 from .models import ARCH_CONFIGS, build_model, config_for_arch
 from .pipeline import PipelineContext, build_side_vocab, learn_bpe_models, prep_tokens
 from .subword import BpeModel, Vocabulary, apply_bpe
-from .training import PRESETS, TrainConfig, load_checkpoint, preset, restore_model, train
+from .training import (PRESETS, TrainConfig, dump_fields, format_entries, load_checkpoint,
+                       load_fields, parse_entries, preset, restore_model, train)
 
 __all__ = ["ExperimentConfig", "run_experiment", "runs_root", "aggregate_report"]
 
@@ -76,48 +77,25 @@ class ExperimentConfig:
     upsample_real: int = 1
     detranslit_score: bool = True
     seed: int = 1
-    train_overrides: dict = field(default_factory=dict)
-    model_overrides: dict = field(default_factory=dict)
+    # the text of the train.* and model.* entries, read by train_config()
+    # and model_config()
+    train_overrides: dict = field(default_factory=dict, metadata={"section": "train"})
+    model_overrides: dict = field(default_factory=dict, metadata={"section": "model"})
 
     @classmethod
     def from_file(cls, path, overrides=None) -> "ExperimentConfig":
-        pairs = {}
-        for raw in read_lines(path):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"bad config line {raw!r} (want key=value)")
-            pairs[key.strip()] = value.strip()
-        pairs.update(overrides or {})
-        return cls.from_pairs(pairs)
+        """The config of a `key=value` file (blank and # lines skipped),
+        with `overrides` winning."""
+        lines = [ln for ln in read_lines(path)
+                 if ln.strip() and not ln.strip().startswith("#")]
+        return cls.from_pairs({**parse_entries(lines), **(overrides or {})})
 
     @classmethod
     def from_pairs(cls, pairs: dict) -> "ExperimentConfig":
-        cfg = cls()
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        for key, value in pairs.items():
-            if key.startswith("train."):
-                cfg.train_overrides[key[len("train."):]] = value
-            elif key.startswith("model."):
-                cfg.model_overrides[key[len("model."):]] = value
-            elif key in fields and key not in ("train_overrides", "model_overrides"):
-                setattr(cfg, key, _coerce(key, value, fields[key].type))
-            else:
-                raise ConfigError(f"unknown configuration key {key!r}")
-        return cfg
+        return cls(**load_fields(cls, pairs, strict=True))
 
     def snapshot(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("train_overrides", "model_overrides"):
-                lines += [f"{'train' if f.name.startswith('t') else 'model'}.{k}={v}"
-                          for k, v in sorted(value.items())]
-            else:
-                lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        return format_entries(dump_fields(self))
 
     def validate(self):
         """Reject a bad config before any stage runs or the run directory exists."""
@@ -150,46 +128,20 @@ class ExperimentConfig:
         base = preset(self.preset) if self.preset else preset(_ARCH_PRESET[self.arch])
         base.arch = self.arch
         base.seed = fan_seed(self.seed, "train")
-        fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-        for key, value in self.train_overrides.items():
-            if key not in fields:
-                raise ConfigError(f"unknown train key {key!r}")
-            setattr(base, key, _coerce(f"train.{key}", value, fields[key].type))
+        base = dataclasses.replace(
+            base, **load_fields(TrainConfig, dump_fields(self), "train", strict=True))
         base.validate()
         return base
 
     def model_config(self, dropout: float):
-        fields = {f.name: f for f in dataclasses.fields(ARCH_CONFIGS[self.arch])}
-        overrides = {"dropout": dropout}
-        for key, value in self.model_overrides.items():
-            if key not in fields:
-                raise ConfigError(f"unknown model key {key!r} for arch {self.arch!r}")
-            overrides[key] = _coerce(f"model.{key}", value, fields[key].type)
-        return config_for_arch(self.arch, **overrides)
+        overrides = load_fields(ARCH_CONFIGS[self.arch], dump_fields(self), "model",
+                                strict=True)
+        return config_for_arch(self.arch, **{"dropout": dropout, **overrides})
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(beam=self.beam,
                             max_len=self.max_len if self.max_len > 0 else None,
                             length_penalty=self.length_penalty)
-
-
-def _coerce(key: str, value: str, ftype):
-    """`value` as the type of config field `key`; a bad value is a
-    ConfigError that names the key."""
-    if not isinstance(value, str):
-        return value
-    try:
-        if ftype in ("int", int):
-            return int(value)
-        if ftype in ("float", float):
-            return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: bad value {value!r}")
-    if ftype in ("bool", bool):
-        if value not in ("True", "False", "true", "false", "1", "0"):
-            raise ConfigError(f"{key}: bad boolean {value!r}")
-        return value in ("True", "true", "1")
-    return value
 
 
 class _Logger:
@@ -377,7 +329,7 @@ class _Runner:
         if not self.cfg.detranslit_score:
             # score on the pooled Devanagari surface instead
             surface = "devanagari"
-            tgt_script = textnorm.script_for_lang(self.cfg.tgt_lang)
+            tgt_script = textnorm.script_for_lang(LanguageTag(self.cfg.tgt_lang).code)
             for in_path, name in ((hyp, "test.hyp.dev"), (ref, "test.ref.dev")):
                 write_lines(out / name,
                             [textnorm.transliterate(ln, tgt_script,

@@ -51,16 +51,12 @@ NEG_INF = float("-inf")
 class LstmConfig:
     embed_dim: int = 256
     hidden_dim: int = 512
-    layers: int = 1
     dropout: float = 0.2
     bidirectional: bool = False
-    attention: bool = True
 
     def validate(self):
-        if min(self.embed_dim, self.hidden_dim, self.layers) < 1:
+        if min(self.embed_dim, self.hidden_dim) < 1:
             raise ConfigError("lstm config extents must be positive")
-        if self.layers != 1:
-            raise ConfigError("only single-layer recurrent encoders are supported")
 
     @property
     def arch(self):
@@ -339,7 +335,8 @@ class SeqModel:
 
 
 class LstmModel(SeqModel):
-    """Encoder-decoder LSTM; optional bidirectional encoder and dot attention.
+    """Single-layer encoder-decoder LSTM with dot attention; the encoder
+    may be bidirectional.
 
     The final real (non-pad) encoder state initializes the decoder; the
     decoder attends over per-position encoder states with dot-product
@@ -366,8 +363,7 @@ class LstmModel(SeqModel):
         f.uniform("dec.w_ih", (e, 4 * h))
         f.uniform("dec.w_hh", (h, 4 * h))
         f.zeros("dec.b", (4 * h,))
-        if cfg.attention:
-            f.uniform("attn_combine.w", (2 * h, h))
+        f.uniform("attn_combine.w", (2 * h, h))
         f.uniform("out.w", (h, self.tgt_vocab_size))
         f.zeros("out.b", (self.tgt_vocab_size,))
 
@@ -415,8 +411,6 @@ class LstmModel(SeqModel):
     def _combine(self, hs, states, states_t, bias):
         """The decoder outputs [B, T, H]: tanh(W [h; attention(h)]) at every
         position at once, as the attention reads no earlier output."""
-        if not self.config.attention:
-            return hs
         ctx = _dot_attention(hs, states, states_t, bias)
         return ad.tanh(ad.matmul(ad.concat([hs, ctx], axis=2),
                                  self.params["attn_combine.w"]))

@@ -212,6 +212,8 @@ class Vocabulary:
     @classmethod
     def from_counts(cls, counts: Counter, min_count: int = 1,
                     max_size: int = None) -> "Vocabulary":
+        if max_size is not None and max_size < 0:
+            raise VocabError(f"max_size must be >= 0, got {max_size}")
         ranked = sorted((t for t, c in counts.items() if c >= min_count),
                         key=lambda t: (-counts[t], t))
         if max_size is not None:
@@ -258,10 +260,10 @@ class Vocabulary:
                 continue
             try:
                 token, count = ln.split("\t")
+                counts[token] = int(count)
             except ValueError:
                 raise VocabError(f"malformed vocab line {ln!r}")
             token_of.append(token)
-            counts[token] = int(count)
         id_of = {t: i for i, t in enumerate(token_of)}
         if len(id_of) != len(token_of):
             raise VocabError(f"duplicate token in {path}")

@@ -11,7 +11,8 @@ import unicodedata
 from dataclasses import dataclass
 
 __all__ = [
-    "ScriptId", "TokenizedSentence", "SCRIPTS", "script", "script_for_lang",
+    "ScriptId", "TokenizedSentence", "SCRIPTS", "LANG_SCRIPT", "script",
+    "script_for_lang",
     "normalize", "tokenize", "detokenize",
     "transliterate", "transliterate_counted", "detransliterate",
 ]
@@ -42,15 +43,16 @@ MALAYALAM = ScriptId("Malayalam", 0x0D00)
 
 SCRIPTS = {s.name.lower(): s for s in (DEVANAGARI, TAMIL, TELUGU, KANNADA, MALAYALAM)}
 
-# Tulu corpora are written in Kannada script; Sanskrit is already Devanagari.
-_LANG_SCRIPT = {
+# The languages the toolkit knows, each with its script (corpus.LanguageTag
+# admits exactly these). Tulu corpora are written in Kannada script;
+# Sanskrit is already Devanagari.
+LANG_SCRIPT = {
     "kn": KANNADA,
     "ml": MALAYALAM,
     "ta": TAMIL,
     "te": TELUGU,
     "tu": KANNADA,
     "sn": DEVANAGARI,
-    "sa": DEVANAGARI,
 }
 
 
@@ -62,9 +64,9 @@ def script(name: str) -> ScriptId:
 
 
 def script_for_lang(code: str) -> ScriptId:
-    if code not in _LANG_SCRIPT:
+    if code not in LANG_SCRIPT:
         raise KeyError(f"no script registered for language {code!r}")
-    return _LANG_SCRIPT[code]
+    return LANG_SCRIPT[code]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import RngState, fan_seed
-from .bleu import BleuConfig, score_corpus
+from .bleu import score_corpus
 from .decoding import DecodeConfig, decode_many
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      FingerprintError)
@@ -33,7 +33,8 @@ from .textnorm import detokenize
 from .subword import undo_bpe
 
 __all__ = [
-    "TrainConfig", "AdamState", "PlateauScheduler", "Batch", "Checkpoint",
+    "TrainConfig", "dump_fields", "load_fields", "parse_entries",
+    "format_entries", "AdamState", "PlateauScheduler", "Batch", "Checkpoint",
     "EpochStats", "TrainReport", "preset", "PRESETS", "make_batches",
     "pad_batch", "adam_step", "train", "evaluate_loss", "evaluate_bleu",
     "save_checkpoint", "load_checkpoint", "restore_model",
@@ -58,9 +59,6 @@ class TrainConfig:
     min_improvement: float = 1e-4
     clip_norm: float = 0.0       # 0 = off; global L2 otherwise
     seed: int = 1
-    adam_beta1: float = 0.0      # 0 = use the per-arch default pair
-    adam_beta2: float = 0.0
-    adam_eps: float = 1e-8
     keep_last: int = 0           # checkpoint pruning; 0 keeps everything
     target_bleu: float = 0.0     # > 0: stop once dev BLEU reaches it
 
@@ -81,8 +79,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
 
     def betas(self):
-        if self.adam_beta1 > 0 and self.adam_beta2 > 0:
-            return self.adam_beta1, self.adam_beta2
         return (0.9, 0.98) if self.arch == "transformer" else (0.9, 0.999)
 
 
@@ -112,6 +108,83 @@ def preset(name: str) -> TrainConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     return dataclasses.replace(PRESETS[name])
+
+
+# ---------------------------------------------------------------------------
+# config text
+#
+# Every config dataclass has one text form, a `prefix.field=value` entry
+# per field, for experiment config files, `dmt run --set`, config.txt
+# snapshots, the train.*/model.* overrides and checkpoint headers:
+# dump_fields writes it and load_fields reads it. A dict field whose
+# metadata names a "section" holds the text of the `section.key` entries.
+
+_BOOLS = {"True": True, "true": True, "1": True,
+          "False": False, "false": False, "0": False}
+_PARSERS = {"int": int, "float": float, "bool": _BOOLS.__getitem__, "str": str}
+
+
+def parse_entries(lines) -> dict:
+    """{key: value} from `key=value` lines, both sides stripped; later
+    lines win, and a line without "=" is a ConfigError."""
+    entries = {}
+    for line in lines:
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"bad config line {line!r} (want key=value)")
+        entries[key.strip()] = value.strip()
+    return entries
+
+
+def format_entries(entries: dict) -> str:
+    """One `key=value` line per entry, in order: what parse_entries reads."""
+    return "".join(f"{k}={v}\n" for k, v in entries.items())
+
+
+def dump_fields(cfg, prefix: str = "") -> dict:
+    """The dataclass instance cfg as `prefix.field` entries of text, in
+    field order (a section's entries sorted by key)."""
+    lead = f"{prefix}." if prefix else ""
+    entries = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if "section" in f.metadata:
+            entries.update((f"{lead}{f.metadata['section']}.{k}", str(v))
+                           for k, v in sorted(value.items()))
+        else:
+            entries[f"{lead}{f.name}"] = str(value)
+    return entries
+
+
+def load_fields(cls, entries: dict, prefix: str = "", strict: bool = False) -> dict:
+    """{field: value} for the entries under `prefix.` that name fields of
+    the dataclass cls, typed by the field: int, float, bool
+    (True/False/true/false/1/0) or str. A bad value, or a field of another
+    type, is a ConfigError that names the key. Other entries under prefix
+    are skipped, or with strict a ConfigError."""
+    lead = f"{prefix}." if prefix else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    sections = {f.metadata["section"]: name for name, f in fields.items()
+                if "section" in f.metadata}
+    values = {name: {} for name in sections.values()}
+    for key, text in entries.items():
+        if not key.startswith(lead):
+            continue
+        name = key[len(lead):]
+        section, dot, rest = name.partition(".")
+        if dot and section in sections:
+            values[sections[section]][rest] = text
+        elif name in fields and "section" not in fields[name].metadata:
+            parse = _PARSERS.get(getattr(fields[name].type, "__name__", fields[name].type))
+            if parse is None:
+                raise ConfigError(f"{key}: a {fields[name].type} field has no text form")
+            try:
+                values[name] = parse(text)
+            except (KeyError, ValueError):
+                raise ConfigError(f"{key}: bad value {text!r}") from None
+        elif strict:
+            raise ConfigError(f"unknown configuration key {key!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +377,13 @@ class Checkpoint:
             "src_vocab_fp": self.src_vocab_fp,
             "tgt_vocab_fp": self.tgt_vocab_fp,
         }
-        meta.update(_dump_config("cfg", self.model_config))
+        meta.update(dump_fields(self.model_config, "cfg"))
         if self.train_config is not None:
-            meta.update(_dump_config("train", self.train_config))
+            meta.update(dump_fields(self.train_config, "train"))
         if self.opt is not None:
             meta["opt.t"] = str(self.opt.t)
         write(_MAGIC)
-        meta_text = "".join(f"{k}={meta[k]}\n" for k in sorted(meta))
-        meta_bytes = meta_text.encode("utf-8")
+        meta_bytes = format_entries(dict(sorted(meta.items()))).encode("utf-8")
         write(struct.pack("<Q", len(meta_bytes)))
         write(meta_bytes)
 
@@ -347,10 +419,7 @@ class Checkpoint:
         off += 8
         if off + meta_len > len(view):
             raise CheckpointError("truncated checkpoint (metadata)")
-        meta = {}
-        for line in bytes(view[off:off + meta_len]).decode("utf-8").splitlines():
-            key, _, value = line.partition("=")
-            meta[key] = value
+        meta = parse_entries(bytes(view[off:off + meta_len]).decode("utf-8").splitlines())
         off += meta_len
         if int(meta.get("version", -1)) != 1:
             raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
@@ -376,9 +445,11 @@ class Checkpoint:
         if off != len(view):
             raise CheckpointError(f"{len(view) - off} trailing bytes after the last tensor")
 
+        # entries of fields this version lacks are skipped, so older files load
         arch = meta["arch"]
-        model_config = _parse_config(ARCH_CONFIGS[arch], "cfg", meta)
-        train_config = (_parse_config(TrainConfig, "train", meta)
+        cfg_cls = ARCH_CONFIGS[arch]
+        model_config = cfg_cls(**load_fields(cfg_cls, meta, "cfg"))
+        train_config = (TrainConfig(**load_fields(TrainConfig, meta, "train"))
                         if any(k.startswith("train.") for k in meta) else None)
         params = {k[len("param."):]: a for k, a in tensors.items()
                   if k.startswith("param.")}
@@ -395,32 +466,6 @@ class Checkpoint:
                    tgt_vocab_fp=meta["tgt_vocab_fp"], params=params, opt=opt,
                    epoch=int(meta["epoch"]), dev_loss=float(meta["dev_loss"]),
                    dev_bleu=float(meta["dev_bleu"]), train_config=train_config)
-
-
-def _dump_config(prefix: str, cfg) -> dict:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f"{prefix}.{f.name}"] = repr(value) if isinstance(value, float) else str(value)
-    return out
-
-
-def _parse_config(cls, prefix: str, meta: dict):
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key not in meta:
-            continue
-        raw = meta[key]
-        if f.type in ("int", int):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[f.name] = float(raw)
-        elif f.type in ("bool", bool):
-            kwargs[f.name] = raw == "True"
-        else:
-            kwargs[f.name] = raw
-    return cls(**kwargs)
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -505,7 +550,7 @@ def evaluate_bleu(model, data, tgt_vocab) -> float:
     hyps = decode_many(model, [s for s, _ in data], DecodeConfig(beam=1))
     cands = [_score_tokens(tgt_vocab, hyp.output_ids) for hyp in hyps]
     refs = [[_score_tokens(tgt_vocab, t)] for _, t in data]
-    return score_corpus(cands, refs, BleuConfig()).mean
+    return score_corpus(cands, refs).mean
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +631,7 @@ def train(model, train_data, dev_data, config: TrainConfig, run_dir=None):
             ad.backward(loss)
             try:
                 adam_step(model.params, opt, lr, config.betas(),
-                          config.adam_eps, config.clip_norm)
+                          clip_norm=config.clip_norm)
             except DivergenceError:
                 diverged = True
                 break

@@ -1,5 +1,7 @@
 """Pseudo-parallel generation, mixing arithmetic, and the paired experiment."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from dmt.autodiff import RngState
@@ -106,6 +108,17 @@ class TestGeneratePseudoParallel:
         lines = pseudo.sidecar_lines()
         assert len(lines) == 10
         assert all(ln.split("\t")[1] == "cafe0123" for ln in lines)
+
+    def test_source_beyond_max_positions_dropped(self, setup):
+        _, ctx, _ = setup
+        model = reverse_cipher_model(ctx)
+        model.config = SimpleNamespace(max_positions=8)  # the limit search reads
+        lines = ["a b c", " ".join("abcdefga"), "d e f g"]
+        mono = MonolingualCorpus([cipher_text(s) for s in lines], ML)
+        pseudo = generate_pseudo_parallel(model, mono, ctx, DecodeConfig(beam=1))
+        assert [p.source for p in pseudo.pairs] == [lines[0], lines[2]]
+        assert pseudo.mono_indices == [0, 2]
+        assert pseudo.provenance.n_dropped == 1
 
     def test_language_mismatch_rejected(self, setup):
         _, ctx, model = setup

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from dmt.autodiff import RngState
-from dmt.bleu import (BleuConfig, corpus_average, modified_precision,
+from dmt.bleu import (corpus_average, modified_precision,
                       score_corpus, score_files, sentence_bleu)
 from dmt.errors import ScoringError
 
@@ -136,17 +136,6 @@ class TestSentenceBleu:
             assert 0.0 <= got <= 1.0
             worst = max(worst, abs(got - bleu_oracle(cand, refs)))
         assert worst < 1e-12
-
-    def test_smoothing_flag(self):
-        cand = "a b c".split()
-        cfg = BleuConfig(smooth_eps=0.1)
-        assert sentence_bleu(cand, [cand], cfg) > 0.0
-
-    def test_bad_config(self):
-        with pytest.raises(ScoringError):
-            BleuConfig(weights=(0.5, 0.5, 0.5, 0.5))
-        with pytest.raises(ScoringError):
-            BleuConfig(max_n=0, weights=())
 
 
 class TestCorpusAverage:

@@ -119,6 +119,16 @@ class TestInputLines:
         assert out == ""
         assert err.startswith("dmt: error:") and len(err.strip().splitlines()) == 1
 
+    def test_non_integer_vocab_count_is_a_one_line_error(self, capsys, monkeypatch,
+                                                         tmp_path):
+        vocab = tmp_path / "v"
+        vocab.write_text("a\tx\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["binarize", "--vocab", str(vocab)], stdin="a\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dmt: error:") and len(err.strip().splitlines()) == 1
+
     def test_non_utf8_input_file_is_a_one_line_error(self, capsys, monkeypatch,
                                                      tmp_path):
         bad = tmp_path / "bad.txt"
@@ -330,6 +340,24 @@ class TestRunAndReport:
                                 "--runs-dir", str(tmp_path / "runs")])
         assert code == 1
         assert "dmt: error:" in err
+
+    @pytest.mark.parametrize("item,named", [
+        ("seed", "seed"), ("train.adam_eps=1e-8", "train.adam_eps"),
+        ("joint_bpe=yes", "joint_bpe")])
+    def test_bad_set_item_is_a_one_line_error(self, capsys, monkeypatch, tmp_path,
+                                              item, named):
+        (tmp_path / "c.kn").write_text("a b\n", encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("name=c\nsrc_lang=kn\ntgt_lang=kn\n" + "".join(
+            f"{k}={tmp_path / 'c.kn'}\n"
+            for k in ("train_src", "train_tgt", "dev_src", "dev_tgt")), encoding="utf-8")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["run", "--config", str(cfg), "--set", item,
+                                  "--runs-dir", str(tmp_path / "runs")])
+        assert code == 1 and out == ""
+        assert err.startswith("dmt: error:") and len(err.strip().splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "runs").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from dmt.corpus import (LanguageTag, ParallelCorpus, SentencePair,
-                        load_monolingual, load_parallel, register_language,
-                        save_parallel, split, stats)
+                        load_monolingual, load_parallel, save_parallel, split,
+                        stats)
 from dmt.errors import CorpusError
+from dmt.textnorm import DEVANAGARI, LANG_SCRIPT, script_for_lang
 
 KN = LanguageTag("kn")
 ML = LanguageTag("ml")
@@ -31,9 +32,12 @@ class TestLanguageTag:
         with pytest.raises(CorpusError):
             LanguageTag("xx")
 
-    def test_registration(self):
-        register_language("zz")
-        assert LanguageTag("zz").code == "zz"
+    def test_admitted_iff_a_script_is_known(self):
+        for code in LANG_SCRIPT:
+            assert script_for_lang(LanguageTag(code).code) is LANG_SCRIPT[code]
+        assert script_for_lang(LanguageTag("sa").code) is DEVANAGARI
+        with pytest.raises(CorpusError):
+            LanguageTag("zz")
 
 
 class TestLoadParallel:
@@ -155,6 +159,12 @@ class TestSplit:
     def test_oversized_split_rejected(self):
         with pytest.raises(CorpusError):
             split(make_corpus(10), 8, 2, 1, seed=0)
+
+    @pytest.mark.parametrize("sizes", [(-1, 2, 2), (4, -1, 2), (4, 2, -1)])
+    def test_negative_size_rejected(self, sizes):
+        # (-1, 2, 2) once sliced train as s0-s4, overlapping test s1-s2
+        with pytest.raises(CorpusError, match="negative"):
+            split(make_corpus(6), *sizes, seed=0, shuffle=False)
 
 
 class TestStats:

@@ -56,6 +56,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bogus"):
             cfg.train_config()
 
+    def test_removed_train_key_rejected(self):
+        cfg = ExperimentConfig.from_pairs({"name": "x", "train.adam_beta1": "0.9"})
+        with pytest.raises(ConfigError, match="train.adam_beta1"):
+            cfg.train_config()
+
+    def test_snapshot_bytes_unchanged(self):
+        """config.txt keeps its bytes, so existing run directories rerun
+        with no stage work."""
+        cfg = ExperimentConfig.from_pairs({
+            "name": "fixed", "src_lang": "kn", "tgt_lang": "sa",
+            "train_src": "d/train.kn", "joint_bpe": "true", "length_penalty": "0.6",
+            "beam": "4", "train.epochs": "7", "train.learning_rate": "0.003",
+            "model.d_model": "64", "model.n_heads": "2"})
+        assert cfg.snapshot() == (
+            "name=fixed\nsrc_lang=kn\ntgt_lang=sa\ntrain_src=d/train.kn\n"
+            "train_tgt=\ndev_src=\ndev_tgt=\ntest_src=\ntest_tgt=\nmono=\n"
+            "bpe_merges=8000\nmin_count=1\njoint_bpe=True\ntransliterate=True\n"
+            "keep_joiners=False\narch=transformer\npreset=\nbeam=4\nmax_len=0\n"
+            "length_penalty=0.6\nbacktranslation=False\nupsample_real=1\n"
+            "detranslit_score=True\nseed=1\ntrain.epochs=7\n"
+            "train.learning_rate=0.003\nmodel.d_model=64\nmodel.n_heads=2\n")
+
     def test_validation_missing_paths(self, tmp_path):
         cfg = ExperimentConfig.from_pairs({
             "name": "x", "src_lang": "kn", "tgt_lang": "ml",

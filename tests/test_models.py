@@ -55,7 +55,6 @@ class TestConfigs:
     def test_lstm_defaults(self):
         cfg = LstmConfig()
         assert (cfg.embed_dim, cfg.hidden_dim, cfg.dropout) == (256, 512, 0.2)
-        assert cfg.attention
 
     def test_conv_defaults(self):
         cfg = ConvConfig()

@@ -8,6 +8,7 @@ from dmt.autodiff import RngState
 from dmt.corpus import LanguageTag, ParallelCorpus, SentencePair
 from dmt.decoding import DecodeConfig, translate_lines
 from dmt.errors import FingerprintError
+from dmt.models import build_model, config_for_arch
 from dmt.pipeline import build_context, encode_corpus
 from dmt.subword import EOS_ID
 
@@ -98,6 +99,25 @@ class TestTranslateGuard:
         model = cipher_table_model({}, ctx.src_vocab, ctx.tgt_vocab)
         assert translate_lines(model, [""], ctx, DecodeConfig(beam=1))[0] == ""
         assert translate_lines(model, ["   "], ctx, DecodeConfig(beam=1))[0] == ""
+
+    @pytest.mark.parametrize("arch", ["conv", "transformer"])
+    def test_source_beyond_max_positions_left_untranslated(self, arch):
+        """A line with more source ids than the model has positions
+        translates to "", and the others as they would alone."""
+        ctx = build_context(small_corpus(), num_merges=0)
+        dims = (dict(dim=8, kernel_width=3) if arch == "conv"
+                else dict(d_model=8, n_heads=2, d_ffn=16))
+        cfg = config_for_arch(arch, enc_layers=1, dec_layers=1, dropout=0.0,
+                              max_positions=32, **dims)
+        model = build_model(cfg, ctx.src_vocab, ctx.tgt_vocab, seed=5)
+        fits, too_long = " ".join("abcdef" * 6)[:61], " ".join("abcdef" * 6)[:63]
+        assert [len(ctx.source_ids(ln)) for ln in (fits, too_long)] == [32, 33]
+        lines = ["a b", too_long, "c d e", fits]
+        config = DecodeConfig(beam=2)
+        out = translate_lines(model, lines, ctx, config)
+        assert out[1] == ""
+        for i in (0, 2, 3):
+            assert out[i] == translate_lines(model, [lines[i]], ctx, config)[0]
 
 
 class TestStageOrder:

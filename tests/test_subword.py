@@ -182,6 +182,17 @@ class TestVocabulary:
         vocab = build_vocab([["a", "a", "b", "c"]], max_size=1)
         assert len(vocab) == 5  # 4 specials + 1
 
+    def test_negative_max_size_rejected(self):
+        # max_size=-1 once sliced off the last token silently
+        with pytest.raises(VocabError, match="max_size"):
+            build_vocab([["a", "a", "b", "c"]], max_size=-1)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("a\tx\n", encoding="utf-8")
+        with pytest.raises(VocabError, match="malformed"):
+            Vocabulary.load(path)
+
     def test_specials_pinned(self):
         vocab = build_vocab([["a"]])
         assert vocab.token_of[PAD_ID] == "<pad>"

@@ -11,10 +11,13 @@ import dmt.autodiff as ad
 import dmt.training
 from dmt.autodiff import RngState, Tensor
 from dmt.errors import CheckpointError, ConfigError, DivergenceError, FingerprintError
-from dmt.models import build_model, config_for_arch
+from dmt.experiment import ExperimentConfig
+from dmt.models import (ConvConfig, LstmConfig, TransformerConfig, build_model,
+                        config_for_arch)
 from dmt.subword import BOS_ID, EOS_ID, PAD_ID, build_vocab
 from dmt.training import (AdamState, Checkpoint, PlateauScheduler, TrainConfig, adam_step,
-                          load_checkpoint, make_batches, pad_batch, preset,
+                          dump_fields, format_entries, load_checkpoint, load_fields,
+                          make_batches, pad_batch, parse_entries, preset,
                           restore_model, save_checkpoint, snapshot, train)
 
 ALPHABET = [chr(ord("a") + i) for i in range(16)]
@@ -320,6 +323,93 @@ class TestCheckpoint:
         _, c3 = self.make_ckpt(vocab, seed=4)
         assert c1.fingerprint() == c2.fingerprint()
         assert c1.fingerprint() != c3.fingerprint()
+
+
+def with_header(raw: bytes, edit) -> bytes:
+    """The checkpoint raw with its metadata lines replaced by edit(lines)."""
+    (meta_len,) = struct.unpack_from("<Q", raw, 4)
+    lines = raw[12:12 + meta_len].decode("utf-8").splitlines()
+    meta = "".join(ln + "\n" for ln in edit(lines)).encode("utf-8")
+    return raw[:4] + struct.pack("<Q", len(meta)) + meta + raw[12 + meta_len:]
+
+
+class TestConfigText:
+    """One writer (dump_fields) and one reader (load_fields) carry every
+    config dataclass through its `prefix.field=value` text."""
+
+    @pytest.mark.parametrize("cls", [TrainConfig, LstmConfig, ConvConfig,
+                                     TransformerConfig, ExperimentConfig])
+    def test_default_survives_write_then_read(self, cls):
+        # a field the reader cannot type fails here, not in a saved checkpoint
+        for prefix in ("", "p"):
+            text = format_entries(dump_fields(cls(), prefix))
+            assert cls(**load_fields(cls, parse_entries(text.splitlines()), prefix)) == cls()
+
+    def test_field_without_text_form_rejected(self):
+        from dataclasses import dataclass
+
+        @dataclass
+        class Pair:
+            widths: tuple = (1, 2)
+
+        with pytest.raises(ConfigError, match="p.widths"):
+            load_fields(Pair, dump_fields(Pair(), "p"), "p")
+
+    @pytest.mark.parametrize("text,value", [
+        ("True", True), ("true", True), ("1", True),
+        ("False", False), ("false", False), ("0", False)])
+    def test_bool_spellings(self, text, value):
+        assert load_fields(TransformerConfig, {"allow_uneven_heads": text}) == {
+            "allow_uneven_heads": value}
+
+    @pytest.mark.parametrize("key,text", [
+        ("allow_uneven_heads", "Fals?"), ("allow_uneven_heads", "no"),
+        ("d_model", "6.5"), ("dropout", "x")])
+    def test_bad_value_names_its_key(self, key, text):
+        with pytest.raises(ConfigError, match=f"cfg.{key}"):
+            load_fields(TransformerConfig, {f"cfg.{key}": text}, "cfg")
+
+    def test_unknown_key_skipped_or_strict(self):
+        entries = {"cfg.d_model": "8", "cfg.layers": "1", "train.epochs": "3"}
+        assert load_fields(TransformerConfig, entries, "cfg") == {"d_model": 8}
+        with pytest.raises(ConfigError, match="cfg.layers"):
+            load_fields(TransformerConfig, entries, "cfg", strict=True)
+
+    def test_corrupted_header_bool_is_a_checkpoint_error(self, vocab):
+        raw = snapshot(tiny_transformer(vocab), train_config=TrainConfig()).to_bytes()
+        bad = with_header(raw, lambda lines: [
+            "cfg.allow_uneven_heads=Fals?" if ln.startswith("cfg.allow_uneven_heads=")
+            else ln for ln in lines])
+        assert bad != raw
+        with pytest.raises(CheckpointError, match="allow_uneven_heads"):
+            Checkpoint.from_bytes(bad)
+
+    @pytest.mark.parametrize("arch", ["transformer", "lstm"])
+    def test_header_with_removed_fields_loads(self, vocab, arch):
+        """Files written before the Adam and LSTM settings became constants
+        carry their entries; they load and restore to identical logits."""
+        if arch == "lstm":
+            model = build_model(config_for_arch("lstm", embed_dim=8, hidden_dim=8),
+                                vocab, vocab, seed=2)
+            extra = ["cfg.attention=True", "cfg.layers=1"]
+        else:
+            model = tiny_transformer(vocab)
+            extra = []
+        tc = TrainConfig(arch=arch, batch_size=0, max_tokens=100)
+        raw = snapshot(model, train_config=tc).to_bytes()
+        extra += ["train.adam_beta1=0.0", "train.adam_beta2=0.0", "train.adam_eps=1e-08"]
+        old = with_header(raw, lambda lines: sorted(lines + extra))
+        loaded = Checkpoint.from_bytes(old)
+        assert loaded.model_config == model.config and loaded.train_config == tc
+        restored = restore_model(loaded, vocab, vocab)
+        src = np.array([[4, 5, 6, EOS_ID]])
+        tgt = np.array([[BOS_ID, 4, 5]])
+        with ad.no_grad():
+            a = model.forward(src, src == PAD_ID, tgt).data
+            b = restored.forward(src, src == PAD_ID, tgt).data
+        np.testing.assert_array_equal(a, b)
+        # written again, the file is what this version writes
+        assert loaded.to_bytes() == raw
 
 
 class TestTrainLoop:
