@@ -669,11 +669,11 @@ def _head_layout(head_dims, d: int):
     """(cols, valid) for splitting width d into heads zero-padded to the
     widest: cols[H, w] names the column of x each padded slot reads, and
     valid[H, w] is False at the padding; None when the heads are even."""
-    dims = np.asarray(head_dims)
-    if dims.sum() != d or dims.min() < 1:
+    if sum(head_dims) != d or min(head_dims) < 1:
         raise ShapeError(f"attention: head widths {list(head_dims)} do not split width {d}")
-    if (dims == dims[0]).all():
+    if len(set(head_dims)) == 1:
         return None
+    dims = np.asarray(head_dims)
     slots = np.arange(dims.max())
     valid = slots[None, :] < dims[:, None]
     cols = np.where(valid, (np.cumsum(dims) - dims)[:, None] + slots, 0)
@@ -698,16 +698,17 @@ def _merge_heads(xh: np.ndarray, layout) -> np.ndarray:
     return xt[:, :, layout[1]]
 
 
-def attention(q, k, v, bias, head_dims) -> Tensor:
-    """Multi-head scaled dot-product attention as one tape node.
+def attention(q, k, v, bias, head_dims, scale) -> Tensor:
+    """Multi-head dot-product attention as one tape node.
 
-    q[B, Tq, D] attends over k, v[B, Tk, D], split into heads of the given
-    widths (summing to D); each head's queries are scaled by 1/sqrt(its
-    width). bias is a constant additive mask that broadcasts to
-    [B, Tq, Tk] and is added to every head's scores, or None. Returns the
-    heads' outputs side by side, [B, Tq, D]. Ragged heads are zero-padded
-    to the widest, which adds nothing to their scores. A fully masked row
-    of a head comes out all-zero and counts as one fault, as in softmax.
+    q[B, Tq, D] attends over k, v[B, Tk, D] (k may be v), split into heads
+    of the given widths (summing to D); scale, one number or one per head,
+    multiplies each head's queries. bias is a constant additive mask that
+    broadcasts to [B, Tq, Tk] and is added to every head's scores, or None.
+    Returns the heads' outputs side by side, [B, Tq, D]. Ragged heads are
+    zero-padded to the widest, which adds nothing to their scores. A fully
+    masked row of a head comes out all-zero and counts as one fault, as in
+    softmax.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[0] != k.shape[0]
@@ -716,7 +717,8 @@ def attention(q, k, v, bias, head_dims) -> Tensor:
                          f"must be [B, Tq, D], [B, Tk, D], [B, Tk, D]")
     n_heads = len(head_dims)
     layout = _head_layout(head_dims, q.shape[2])
-    scale = (1.0 / np.sqrt(np.asarray(head_dims, dtype=np.float64)))[:, None, None]
+    if np.ndim(scale):  # one per head
+        scale = np.reshape(scale, (-1, 1, 1))
     qh = _split_heads(q.data, n_heads, layout) * scale
     kh = _split_heads(k.data, n_heads, layout)
     vh = _split_heads(v.data, n_heads, layout)

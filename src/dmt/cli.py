@@ -24,9 +24,9 @@ from .subword import (BpeModel, Vocabulary, apply_bpe, build_vocab, learn_bpe,
                       undo_bpe_counted)
 from .training import load_checkpoint, parse_entries, restore_model
 
-# script flag values accepted by translate/backtranslate/score
-_SCRIPT_LANG = {"devanagari": "sn", "kannada": "kn", "tamil": "ta",
-                "telugu": "te", "malayalam": "ml"}
+# each script flag stands for the first language textnorm lists in it (kannada: kn)
+_SCRIPT_LANG = {name: next(code for code, s in textnorm.LANG_SCRIPT.items() if s is script)
+                for name, script in textnorm.SCRIPTS.items()}
 
 
 def _read_lines(args):

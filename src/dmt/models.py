@@ -9,8 +9,11 @@ over a whole BOS-led target prefix from ``init_state``: the teacher-forced
 logits that training uses, causal (logits at position t never see prefix
 positions beyond t). ``step(state, last_ids)`` is the same body one token
 per row (BOS first), returning ``(logits[B, V], state)`` at a cost that
-does not grow with the prefix. Masked source positions receive exactly
-zero attention weight via additive -inf biases.
+does not grow with the prefix. Every attention block of every architecture
+is one ``ad.attention`` node: the LSTM and conv decoders attend over the
+encoder states (keys and values both) with one unscaled head, the
+transformer with heads each scaled by 1/sqrt(its width). Masked source
+positions receive exactly zero attention weight via additive -inf biases.
 
 The LSTM state carries (h, c); the transformer caches per-layer
 self-attention keys and values and projects the encoder memory for
@@ -145,15 +148,13 @@ class EncoderMemory:
     pad_mask: np.ndarray        # [B, S]; True at PAD positions
     h0: Tensor = None           # recurrent decoders: initial hidden
     c0: Tensor = None
-    fully_masked: np.ndarray = None  # [B]; True where every position is PAD
 
     def select(self, rows) -> "EncoderMemory":
         """The memory of the given rows, in order; rows may repeat."""
         rows = np.asarray(rows, dtype=np.int64)
         pick = lambda t: None if t is None else Tensor(t.data[rows])
         return EncoderMemory(states=pick(self.states), pad_mask=self.pad_mask[rows],
-                             h0=pick(self.h0), c0=pick(self.c0),
-                             fully_masked=self.fully_masked[rows])
+                             h0=pick(self.h0), c0=pick(self.c0))
 
     def tile(self, k: int) -> "EncoderMemory":
         """Repeat each batch row k times."""
@@ -188,13 +189,6 @@ def _pad_bias(pad_mask: np.ndarray) -> Tensor:
 def _causal_bias(t: int) -> Tensor:
     bias = np.triu(np.full((t, t), NEG_INF), k=1)
     return Tensor(bias[None, :, :])
-
-
-def _dot_attention(q, states, states_t, bias):
-    """Dot-product attention of queries q[B, T, H] over states[B, S, H]
-    (states_t is their [B, H, S] transpose)."""
-    attn = ad.softmax(ad.add(ad.matmul(q, states_t), bias), axis=-1)
-    return ad.matmul(attn, states)
 
 
 def _tail(prev: np.ndarray, new: np.ndarray, n: int) -> np.ndarray:
@@ -303,9 +297,6 @@ class SeqModel:
         memory = self.encode(src_ids, src_pad_mask, training=training, rng=rng)
         return self.decode_step(memory, tgt_prefix, training=training, rng=rng)
 
-    def parameters(self) -> dict:
-        return self.params
-
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -318,8 +309,7 @@ class SeqModel:
             raise ShapeError(f"source ids must be [B, S], got {src_ids.shape}")
         if src_pad_mask is None:
             src_pad_mask = src_ids == PAD_ID
-        pad = np.asarray(src_pad_mask, dtype=bool)
-        return src_ids, pad, pad.all(axis=1)
+        return src_ids, np.asarray(src_pad_mask, dtype=bool)
 
     def _prep_prefix(self, tgt_prefix):
         tgt_prefix = _check_ids(tgt_prefix, self.tgt_vocab_size, "target")
@@ -382,7 +372,7 @@ class LstmModel(SeqModel):
 
     def encode(self, src_ids, src_pad_mask=None, training=False, rng=None):
         cfg = self.config
-        src_ids, pad, fully_masked = self._prep_source(src_ids, src_pad_mask)
+        src_ids, pad = self._prep_source(src_ids, src_pad_mask)
         lengths = np.maximum((~pad).sum(axis=1), 1)
         x = ad.embedding(self.params["src_embed"], src_ids)
         x = ad.dropout(x, cfg.dropout, rng, training)
@@ -392,8 +382,7 @@ class LstmModel(SeqModel):
         h_last = ad.select_time(hs_f, last)
         c_last = ad.select_time(cs_f, last)
         if not cfg.bidirectional:
-            return EncoderMemory(states=hs_f, pad_mask=pad,
-                                 h0=h_last, c0=c_last, fully_masked=fully_masked)
+            return EncoderMemory(states=hs_f, pad_mask=pad, h0=h_last, c0=c_last)
 
         perm = self._reverse_perm(pad)
         x_rev = ad.gather_time(x, perm)
@@ -405,13 +394,12 @@ class LstmModel(SeqModel):
         states = ad.matmul(raw, self.params["proj_states.w"])
         h0 = ad.matmul(ad.concat([h_last, h_last_b], axis=1), self.params["proj_h0.w"])
         c0 = ad.matmul(ad.concat([c_last, c_last_b], axis=1), self.params["proj_c0.w"])
-        return EncoderMemory(states=states, pad_mask=pad, h0=h0, c0=c0,
-                             fully_masked=fully_masked)
+        return EncoderMemory(states=states, pad_mask=pad, h0=h0, c0=c0)
 
-    def _combine(self, hs, states, states_t, bias):
+    def _combine(self, hs, states, bias):
         """The decoder outputs [B, T, H]: tanh(W [h; attention(h)]) at every
         position at once, as the attention reads no earlier output."""
-        ctx = _dot_attention(hs, states, states_t, bias)
+        ctx = ad.attention(hs, states, states, bias, [self.config.hidden_dim], 1.0)
         return ad.tanh(ad.matmul(ad.concat([hs, ctx], axis=2),
                                  self.params["attn_combine.w"]))
 
@@ -419,7 +407,6 @@ class LstmModel(SeqModel):
 
     def init_state(self, memory) -> DecodeState:
         return DecodeState(0, h=memory.h0, c=memory.c0, states=memory.states,
-                           states_t=ad.transpose(memory.states, (0, 2, 1)),
                            bias=_pad_bias(memory.pad_mask))
 
     def _decode(self, state: DecodeState, ids, training=False, rng=None):
@@ -427,7 +414,7 @@ class LstmModel(SeqModel):
         x = ad.embedding(self.params["tgt_embed"], ids)
         x = ad.dropout(x, cfg.dropout, rng, training)
         hs, cs = self._recur("dec", x, s["h"], s["c"])
-        out = self._combine(hs, s["states"], s["states_t"], s["bias"])
+        out = self._combine(hs, s["states"], s["bias"])
         out = ad.dropout(out, cfg.dropout, rng, training)
         logits = _linear(out, self.params["out.w"], self.params["out.b"])
         return logits, state.advance(ids.shape[1], h=Tensor(hs.data[:, -1]),
@@ -472,7 +459,7 @@ class ConvModel(SeqModel):
 
     def encode(self, src_ids, src_pad_mask=None, training=False, rng=None):
         cfg = self.config
-        src_ids, pad, fully_masked = self._prep_source(src_ids, src_pad_mask)
+        src_ids, pad = self._prep_source(src_ids, src_pad_mask)
         b, s = src_ids.shape
         keep = Tensor((~pad)[:, :, None].astype(float))
         x = ad.add(ad.embedding(self.params["src_embed"], src_ids),
@@ -484,7 +471,7 @@ class ConvModel(SeqModel):
                        self.params[f"enc.l{l}.b"])
             g = ad.glu(y, axis=-1)
             x = ad.mul(ad.add(x, g), keep)
-        return EncoderMemory(states=x, pad_mask=pad, fully_masked=fully_masked)
+        return EncoderMemory(states=x, pad_mask=pad)
 
     decode_step = SeqModel.decode_step
 
@@ -495,9 +482,8 @@ class ConvModel(SeqModel):
         # zeros before position 0, as causal padding has them
         windows = {f"win{l}": Tensor(np.zeros((b, cfg.kernel_width - 1, cfg.dim)))
                    for l in range(cfg.dec_layers)}
-        return DecodeState(0, states=memory.states,
-                           states_t=ad.transpose(memory.states, (0, 2, 1)),
-                           bias=_pad_bias(memory.pad_mask), **windows)
+        return DecodeState(0, states=memory.states, bias=_pad_bias(memory.pad_mask),
+                           **windows)
 
     def _decode(self, state: DecodeState, ids, training=False, rng=None):
         cfg, s, p = self.config, state.tensors, self.params
@@ -513,7 +499,8 @@ class ConvModel(SeqModel):
             windows[f"win{l}"] = Tensor(_tail(win.data, conv_in.data, cfg.kernel_width - 1))
             h = ad.glu(ad.add(ad.conv1d(conv_in, p[f"dec.l{l}.kernel"], mode),
                               p[f"dec.l{l}.b"]), axis=-1)
-            y = ad.add(y, ad.add(h, _dot_attention(h, s["states"], s["states_t"], s["bias"])))
+            ctx = ad.attention(h, s["states"], s["states"], s["bias"], [cfg.dim], 1.0)
+            y = ad.add(y, ad.add(h, ctx))
         y = ad.dropout(y, cfg.dropout, rng, training)
         logits = _linear(y, p["out.w"], p["out.b"])
         return logits, state.advance(n, **windows)
@@ -562,6 +549,8 @@ class TransformerModel(SeqModel):
         f.normal("out.w", (d, self.tgt_vocab_size), std=std)
         f.zeros("out.b", (self.tgt_vocab_size,))
         self._pe = _sinusoid_table(cfg.max_positions, d)
+        self._head_dims = cfg.head_dims()
+        self._head_scale = 1.0 / np.sqrt(np.asarray(self._head_dims, dtype=np.float64))
 
     def _embed(self, table, ids, rng, training, start=0):
         """Scaled embeddings of ids[B, n] plus the sinusoids of positions
@@ -583,7 +572,8 @@ class TransformerModel(SeqModel):
         """Multi-head attention of projected queries q over projected keys
         k and values v, then the output projection; bias None means every
         key is visible."""
-        return self._proj(base, "o", ad.attention(q, k, v, bias, self.config.head_dims()))
+        return self._proj(base, "o", ad.attention(q, k, v, bias, self._head_dims,
+                                                  self._head_scale))
 
     def _attention(self, base, q_in, kv_in, bias):
         q = self._proj(base, "q", q_in)
@@ -601,7 +591,7 @@ class TransformerModel(SeqModel):
 
     def encode(self, src_ids, src_pad_mask=None, training=False, rng=None):
         cfg = self.config
-        src_ids, pad, fully_masked = self._prep_source(src_ids, src_pad_mask)
+        src_ids, pad = self._prep_source(src_ids, src_pad_mask)
         drop = lambda t: ad.dropout(t, cfg.dropout, rng, training)
         bias = _pad_bias(pad)
         x = self._embed(self.params["src_embed"], src_ids, rng, training)
@@ -611,8 +601,7 @@ class TransformerModel(SeqModel):
             x = ad.add(x, drop(self._attention(f"{base}.self", a, a, bias)))
             x = ad.add(x, drop(self._ffn(f"{base}.ffn",
                                          self._ln(f"{base}.ffn.ln", x))))
-        return EncoderMemory(states=self._ln("enc.ln", x), pad_mask=pad,
-                             fully_masked=fully_masked)
+        return EncoderMemory(states=self._ln("enc.ln", x), pad_mask=pad)
 
     decode_step = SeqModel.decode_step
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RngState, fan_seed
 from .bleu import score_corpus
-from .decoding import DecodeConfig, decode_many
+from .decoding import DecodeConfig, _max_positions, decode_many
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      FingerprintError)
 from .models import ARCH_CONFIGS, build_model, label_smoothed_loss
@@ -573,7 +573,7 @@ class TrainReport:
     wall_time: float = 0.0
     diverged: bool = False
     stopped_early: bool = False
-    skipped_pairs: int = 0
+    skipped_pairs: int = 0  # past max_tokens or the model's positions
 
     def as_tsv(self) -> str:
         lines = ["epoch\ttrain_loss\tdev_loss\tdev_bleu\tlr"]
@@ -589,11 +589,18 @@ def train(model, train_data, dev_data, config: TrainConfig, run_dir=None):
     Per epoch: teacher-forced label-smoothed steps over shuffled batches,
     then dev loss, dev BLEU (greedy), a checkpoint, and the lr-shrink
     decision. The best checkpoint maximizes dev BLEU, earliest epoch on
-    ties. NaN loss aborts with the last good checkpoint.
+    ties. NaN loss aborts with the last good checkpoint. Training and dev
+    pairs with more ids than the model has positions are left out.
     """
     config.validate()
+    limit = _max_positions(model)  # a target of n ids feeds n positions
+    fits = lambda pairs: [p for p in pairs if max(len(p[0]), len(p[1])) <= limit]
+    too_long = len(train_data) + len(dev_data)
+    train_data, dev_data = fits(train_data), fits(dev_data)
+    too_long -= len(train_data) + len(dev_data)
     if not train_data:
-        raise ConfigError("empty training corpus")
+        raise ConfigError(f"empty training corpus ({too_long} pairs past the "
+                          f"model's positions left out)")
     t0 = time.time()
     run_dir = Path(run_dir) if run_dir is not None else None
     ckpt_dir = None
@@ -614,7 +621,7 @@ def train(model, train_data, dev_data, config: TrainConfig, run_dir=None):
         batches, skipped = make_batches(
             train_data, config.max_tokens, config.batch_size,
             seed=fan_seed(config.seed, f"epoch-{epoch}"))
-        report.skipped_pairs = skipped
+        report.skipped_pairs = skipped + too_long
         total, tokens = 0.0, 0
         diverged = False
         for idxs in batches:

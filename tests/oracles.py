@@ -102,14 +102,15 @@ def lstm_reference(x, w_ih, w_hh, b, h0=None, c0=None):
 # attention: one head at a time from elementary ops
 
 
-def attention_reference(q, k, v, bias, head_dims):
+def attention_reference(q, k, v, bias, head_dims, scale):
     """ad.attention composed head by head from slice_axis, mul, matmul,
     transpose, add, softmax and concat, so its gradient comes from their
     VJPs rather than from the fused closed form."""
+    scales = np.broadcast_to(np.asarray(scale, dtype=np.float64), (len(head_dims),))
     outs = []
     off = 0
-    for dh in head_dims:
-        qs = ad.mul(ad.slice_axis(q, 2, off, off + dh), 1.0 / math.sqrt(dh))
+    for dh, sh in zip(head_dims, scales):
+        qs = ad.mul(ad.slice_axis(q, 2, off, off + dh), float(sh))
         ks = ad.slice_axis(k, 2, off, off + dh)
         vs = ad.slice_axis(v, 2, off, off + dh)
         scores = ad.matmul(qs, ad.transpose(ks, (0, 2, 1)))

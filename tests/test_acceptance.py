@@ -243,6 +243,13 @@ class TestC05GradientChecks:
             pad_bias = Tensor(np.where(np.arange(4)[None, None, :] >= np.array(
                 [[[4]], [[2]]]), ad.NEG_INF, 0.0))
             causal = Tensor(np.triu(np.full((1, 3, 3), ad.NEG_INF), k=1))
+            # the LSTM and conv decoders' attention: one unscaled head,
+            # the source states as both keys and values, a pad bias
+            dot_rng = RngState(800 + trial)
+            uq, us = (Tensor(dot_rng.uniform(shape, -1.0, 1.0), requires_grad=True)
+                      for shape in ((2, 3, 4), (2, 5, 4)))
+            src_bias = Tensor(np.where(np.arange(5)[None, None, :] >= np.array(
+                [[[5]], [[3]]]), ad.NEG_INF, 0.0))
             cases = [
                 (lambda: ad.add(a, b), [a, b]),
                 (lambda: ad.sub(a, b), [a, b]),
@@ -274,8 +281,11 @@ class TestC05GradientChecks:
                 (lambda: ad.lstm(x3, w_ih, w_hh, lb)[0], [x3, w_ih, w_hh, lb]),
                 (lambda: ad.lstm(x3, w_ih, w_hh, lb, h0, c0)[1],
                  [x3, w_ih, w_hh, lb, h0, c0]),
-                (lambda: ad.attention(aq, ak, av, pad_bias, [2, 2]), [aq, ak, av]),
-                (lambda: ad.attention(rq, rk, rv, causal, [2, 2, 1]), [rq, rk, rv]),
+                (lambda: ad.attention(aq, ak, av, pad_bias, [2, 2], 1 / np.sqrt([2, 2])),
+                 [aq, ak, av]),
+                (lambda: ad.attention(rq, rk, rv, causal, [2, 2, 1], 1 / np.sqrt([2, 2, 1])),
+                 [rq, rk, rv]),
+                (lambda: ad.attention(uq, us, us, src_bias, [4], 1.0), [uq, us]),
             ]
             for build, tensors in cases:
                 if tensors is None:

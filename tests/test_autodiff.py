@@ -394,7 +394,9 @@ class TestLstm:
 
 
 class TestAttention:
-    HEADS = {"even": [4, 4], "ragged": [3, 3, 2]}
+    # "dot" is the LSTM and conv decoders' attention: one unscaled head
+    # over the encoder states as both keys and values
+    HEADS = {"even": [4, 4], "ragged": [3, 3, 2], "dot": [8]}
 
     @staticmethod
     def bias_of(kind, tq, tk):
@@ -414,18 +416,20 @@ class TestAttention:
     def test_matches_per_head_reference(self, heads, bias_kind, tq, tk):
         """Output, q/k/v gradients and fault count of the fused op agree
         with the per-head composition, with Tq != Tk, the decode step's
-        Tq = 1, no bias, a causal bias, and source pads with one fully
-        masked row."""
+        Tq = 1, no bias, a causal bias, source pads with one fully masked
+        row, and keys that are the values."""
         dims = self.HEADS[heads]
         rng = RngState(60 + tq + tk)
         d = sum(dims)
-        q, k, v = rand(rng, 3, tq, d), rand(rng, 3, tk, d), rand(rng, 3, tk, d)
+        q, k = rand(rng, 3, tq, d), rand(rng, 3, tk, d)
+        v = k if heads == "dot" else rand(rng, 3, tk, d)
+        scale = 1.0 if heads == "dot" else 1.0 / np.sqrt(dims)
         bias = self.bias_of(bias_kind, tq, tk)
         w = rng.uniform((3, tq, d), -1.0, 1.0)
 
         def run(fn):
             ad.reset_faults()
-            out = fn(q, k, v, bias, dims)
+            out = fn(q, k, v, bias, dims, scale)
             faults = ad.fault_count()
             ad.backward(ad.reduce_sum(ad.mul(out, w)))
             grads = [t.grad for t in (q, k, v)]
@@ -445,11 +449,11 @@ class TestAttention:
         x = Tensor(np.zeros((2, 3, 8)))
         with pytest.raises(ShapeError):
             ad.attention(x, Tensor(np.zeros((2, 3, 6))), Tensor(np.zeros((2, 3, 6))),
-                         None, [4, 4])
+                         None, [4, 4], 0.5)
         with pytest.raises(ShapeError):
-            ad.attention(x, x, x, None, [4, 3])
+            ad.attention(x, x, x, None, [4, 3], 0.5)
         with pytest.raises(ShapeError):
-            ad.attention(x, x, x, Tensor(np.zeros((2, 3, 4))), [4, 4])
+            ad.attention(x, x, x, Tensor(np.zeros((2, 3, 4))), [4, 4], 0.5)
 
 
 class TestBackward:

@@ -3,7 +3,7 @@
 import pytest
 
 from dmt.autodiff import RngState
-from dmt.cli import main
+from dmt.cli import _SCRIPT_LANG, main
 
 from conftest import write_copy_corpus
 
@@ -42,6 +42,15 @@ class TestHelp:
             assert flag in out
         assert "default: 5" in out      # beam default
         assert "default: 1.0" in out    # length penalty default
+
+    def test_script_flags_name_the_first_language_in_each_script(self, capsys):
+        """Each script flag stands for the first language textnorm lists in
+        that script: kannada is kn, not tu."""
+        assert _SCRIPT_LANG == {"devanagari": "sn", "kannada": "kn", "malayalam": "ml",
+                                "tamil": "ta", "telugu": "te"}
+        with pytest.raises(SystemExit):
+            main(["prep", "translit", "--help"])
+        assert "{devanagari,kannada,malayalam,tamil,telugu}" in capsys.readouterr().out
 
     def test_backtranslate_flag_names(self, capsys):
         with pytest.raises(SystemExit):

@@ -209,7 +209,7 @@ class TestForwardContracts:
         src = np.full((2, 4), PAD_ID, dtype=np.int64)
         with ad.no_grad():
             memory = model.encode(src)
-        assert memory.fully_masked.any()
+        assert memory.pad_mask.all()
         assert memory.states is not None
 
     @pytest.mark.parametrize("arch", ARCHS)

@@ -485,6 +485,28 @@ class TestTrainLoop:
         assert f"epoch{report.best_epoch:03d}.dmt" in kept
         assert len(kept) <= 2
 
+    @pytest.mark.parametrize("long_end", ["source", "target"])
+    @pytest.mark.parametrize("side", ["train", "dev"])
+    def test_pair_past_max_positions_left_out(self, vocab, side, long_end):
+        """A pair with more ids (41) than the model has positions (32) is
+        left out and counted, and training runs as if it were absent."""
+        pairs = copy_pairs(RngState(9), 10, vocab)
+        long_ids = vocab.encode(["a"] * 40)
+        long_pair = (long_ids, pairs[0][1]) if long_end == "source" else (pairs[0][0], long_ids)
+        cfg = config_for_arch("conv", enc_layers=1, dec_layers=1, dim=16,
+                              max_positions=32)
+        runs = []
+        for extra in ([], [long_pair]):
+            model = build_model(cfg, vocab, vocab, seed=2)
+            train_set = pairs + (extra if side == "train" else [])
+            dev_set = pairs[:4] + (extra if side == "dev" else [])
+            runs.append(train(model, train_set, dev_set,
+                              self.base_config(arch="conv", epochs=2, batch_size=4)))
+        (clean_ckpt, clean), (ckpt, report) = runs
+        assert (clean.skipped_pairs, report.skipped_pairs) == (0, 1)
+        assert report.epochs == clean.epochs
+        assert ckpt.fingerprint() == clean_ckpt.fingerprint()
+
     def test_lr_shrink_on_constructed_plateau(self, vocab):
         """Frozen training (every pair over the token budget, so zero
         steps per epoch) pins dev loss, forcing the plateau rule to halve
