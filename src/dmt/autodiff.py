@@ -355,7 +355,8 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated so that exp never overflows."""
     e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    den = 1.0 + e
+    return np.where(d >= 0, 1.0 / den, e / den)
 
 
 def sigmoid(x) -> Tensor:
@@ -601,7 +602,10 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
 
     "same" pads both sides (odd K required); "causal" pads left only, so
     output t never sees inputs beyond t; "valid" pads nothing and gives the
-    T - K + 1 outputs whose window lies inside x.
+    T - K + 1 outputs whose window lies inside x. Runs as im2col: the K taps
+    are copied side by side into one column buffer [B, T_out, K * Cin], so
+    the output is one GEMM with the flattened kernel, and the kernel and
+    input gradients are one GEMM each.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
@@ -619,21 +623,28 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
             raise ShapeError(f"conv1d: {x.shape[1]} positions, kernel width {k}")
     else:
         raise ShapeError(f"conv1d: unknown pad_mode {pad_mode!r}")
-    xp = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
-    t = xp.shape[1] - k + 1
-    data = np.zeros((x.shape[0], t, kernel.shape[2]))
-    for j in range(k):
-        data += np.matmul(xp[:, j:j + t, :], kernel.data[j])
+    bsz, t_in, cin = x.shape
+    cout = kernel.shape[2]
+    t = t_in + left + right - k + 1
+    # tap j of output i reads input i + j - left; outputs lo..hi-1 of tap j
+    # read inside x, the rest stay zero, and a tap that misses x entirely
+    # (T shorter than the padding) is dropped
+    spans = [(j, max(0, left - j), min(t, t_in + left - j)) for j in range(k)]
+    spans = [(j, lo, hi) for j, lo, hi in spans if lo < hi]
+    cols = np.zeros((bsz, t, k, cin))
+    for j, lo, hi in spans:
+        cols[:, lo:hi, j] = x.data[:, lo + j - left:hi + j - left]
+    cols2d = cols.reshape(bsz * t, k * cin)
+    kernel2d = kernel.data.reshape(k * cin, cout)
+    data = (cols2d @ kernel2d).reshape(bsz, t, cout)
 
     def vjp(g):
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(kernel.data)
-        flat_g = g.reshape(-1, g.shape[-1])
-        for j in range(k):
-            window = xp[:, j:j + t, :]
-            gk[j] = window.reshape(-1, window.shape[-1]).T @ flat_g
-            gxp[:, j:j + t, :] += np.matmul(g, kernel.data[j].T)
-        gx = gxp[:, left:left + x.shape[1], :]
+        g2d = g.reshape(bsz * t, cout)
+        gk = (cols2d.T @ g2d).reshape(kernel.shape)
+        gcols = (g2d @ kernel2d.T).reshape(bsz, t, k, cin)
+        gx = np.zeros_like(x.data)
+        for j, lo, hi in spans:
+            gx[:, lo + j - left:hi + j - left] += gcols[:, lo:hi, j]
         return gx, gk
 
     return _make(data, (x, kernel), vjp)

@@ -3,8 +3,9 @@
 Nothing here calls back into the code paths under test: gradients come
 from central finite differences, BLEU from direct n-gram enumeration,
 search optima from exhaustive enumeration of candidate sequences, the
-fused LSTM's reference is the per-step cell built from elementary ops, and
-the fused multi-head attention's reference is the per-head loop. The
+fused LSTM's reference is the per-step cell built from elementary ops, the
+fused multi-head attention's reference is the per-head loop, and the im2col
+convolution's reference is the per-tap loop over a zero-padded input. The
 incremental decoders' reference, RecomputeDecoder, carries no decoder
 state at all: every step re-runs the teacher-forced ``decode_step`` over
 the whole prefix.
@@ -119,6 +120,29 @@ def attention_reference(q, k, v, bias, head_dims, scale):
         outs.append(ad.matmul(ad.softmax(scores, axis=-1), vs))
         off += dh
     return ad.concat(outs, axis=2)
+
+
+# ---------------------------------------------------------------------------
+# convolution: one product per kernel tap over a zero-padded input
+
+
+def conv1d_reference(x, kernel, pad_mode):
+    """ad.conv1d as the sum over taps j of the padded input's window
+    starting at j times kernel[j], composed from concat (the zero padding),
+    slice_axis, reshape, matmul and add, so its gradient comes from their
+    VJPs rather than from the im2col closed form. Takes only shapes the op
+    accepts."""
+    k, cin, cout = kernel.shape
+    left, right = {"same": (k // 2, k // 2), "causal": (k - 1, 0), "valid": (0, 0)}[pad_mode]
+    bsz = x.shape[0]
+    xp = ad.concat([Tensor(np.zeros((bsz, left, cin))), x,
+                    Tensor(np.zeros((bsz, right, cin)))], axis=1)
+    t = xp.shape[1] - k + 1
+    out = Tensor(np.zeros((bsz, t, cout)))
+    for j in range(k):
+        tap = ad.reshape(ad.slice_axis(kernel, 0, j, j + 1), (cin, cout))
+        out = ad.add(out, ad.matmul(ad.slice_axis(xp, 1, j, j + t), tap))
+    return out
 
 
 # ---------------------------------------------------------------------------

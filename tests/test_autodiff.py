@@ -7,7 +7,8 @@ import dmt.autodiff as ad
 from dmt.autodiff import RngState, Tensor
 from dmt.errors import ShapeError
 
-from oracles import attention_reference, fd_grad, lstm_reference, max_rel_err
+from oracles import (attention_reference, conv1d_reference, fd_grad, lstm_reference,
+                     max_rel_err)
 
 GRAD_TOL = 1e-4
 FD_H = 1e-5
@@ -231,6 +232,10 @@ class TestConv:
         with pytest.raises(ShapeError):
             ad.conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((2, 2, 2))), "same")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ShapeError, match="unknown pad_mode"):
+            ad.conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((3, 2, 2))), "full")
+
     def test_valid_is_causal_without_the_padded_outputs(self):
         rng = RngState(27)
         x, kernel = Tensor(rng.uniform((2, 6, 3))), Tensor(rng.uniform((3, 3, 4)))
@@ -246,6 +251,40 @@ class TestConv:
         rng = RngState(26)
         x, kernel = rand(rng, 2, 5, 3), rand(rng, 3, 3, 4)
         check_grads(lambda: ad.conv1d(x, kernel, pad_mode=mode), [x, kernel])
+
+    @staticmethod
+    def against_reference(bsz, t_len, k, mode, seed):
+        """Largest relative deviations of the output and of the x and
+        kernel gradients of ad.conv1d from the per-tap reference."""
+        rng = RngState(seed)
+        x, kernel = rand(rng, bsz, t_len, 3), rand(rng, k, 3, 4)
+
+        def run(fn):
+            out = fn(x, kernel, mode)
+            w = RngState(seed + 1).uniform(out.shape, -1.0, 1.0)
+            ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            grads = [x.grad, kernel.grad]
+            ad.zero_grad([x, kernel])
+            return out.data, grads
+
+        out, grads = run(ad.conv1d)
+        ref_out, ref_grads = run(conv1d_reference)
+        assert out.shape == ref_out.shape
+        return [rel_diff(out, ref_out)] + [rel_diff(g, r) for g, r in zip(grads, ref_grads)]
+
+    # every pad mode and kernel width at T = 9, then inputs shorter than
+    # the padding, where some taps read only zeros and their column spans
+    # must come out empty, not wrap round
+    @pytest.mark.parametrize("bsz, t_len, k, mode", [
+        (bsz, 9, k, mode) for bsz in (1, 3) for k in (1, 3, 5, 7)
+        for mode in ("same", "causal", "valid")] + [
+        (2, 2, 7, "same"), (2, 1, 7, "same"), (2, 3, 7, "same"),
+        (2, 1, 5, "causal"), (2, 2, 7, "causal")])
+    def test_matches_per_tap_reference(self, bsz, t_len, k, mode):
+        """im2col changes only the summation order: output and both
+        gradients agree with the per-tap loop to rounding."""
+        devs = self.against_reference(bsz, t_len, k, mode, seed=80 + bsz + t_len + k)
+        assert max(devs) <= 1e-13, devs
 
 
 class TestGlu:
