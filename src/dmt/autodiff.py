@@ -21,11 +21,11 @@ from .errors import ShapeError
 
 __all__ = [
     "Tensor", "RngState", "fan_seed", "no_grad", "backward", "zero_grad",
-    "add", "sub", "mul", "matmul", "reduce_sum", "reduce_mean",
+    "add", "mul", "matmul", "reduce_sum",
     "softmax", "log_softmax", "sigmoid", "tanh", "relu", "layer_norm",
     "embedding", "conv1d", "glu", "dropout", "concat", "slice_axis",
     "transpose", "reshape", "gather_last", "select_time", "gather_time",
-    "attention", "lstm", "fault_count", "reset_faults", "tape_size",
+    "attention", "lstm", "fault_count", "tape_size",
 ]
 
 NEG_INF = float("-inf")
@@ -89,9 +89,6 @@ class RngState:
         keys = self.uniform((n,)) if n else np.zeros(0)
         return np.argsort(keys, kind="stable")
 
-    def shuffle(self, items: list) -> list:
-        return [items[i] for i in self.permutation(len(items))]
-
 
 # ---------------------------------------------------------------------------
 # tensor and tape
@@ -122,37 +119,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -177,11 +143,6 @@ def tape_size() -> int:
 
 def fault_count() -> int:
     return _FAULTS
-
-
-def reset_faults():
-    global _FAULTS
-    _FAULTS = 0
 
 
 @contextmanager
@@ -267,19 +228,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
-
-    return _make(data, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -330,22 +278,16 @@ def matmul(a, b) -> Tensor:
 # reductions
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axis=None) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return _make(data, (x,), vjp)
-
-
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    n = x.size if axis is None else x.shape[axis]
-    return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +542,13 @@ def reshape(x, shape) -> Tensor:
 def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
     """Temporal convolution of x[B, T, Cin] with kernel[K, Cin, Cout].
 
-    "same" pads both sides (odd K required); "causal" pads left only, so
-    output t never sees inputs beyond t; "valid" pads nothing and gives the
-    T - K + 1 outputs whose window lies inside x. Runs as im2col: the K taps
-    are copied side by side into one column buffer [B, T_out, K * Cin], so
-    the output is one GEMM with the flattened kernel, and the kernel and
-    input gradients are one GEMM each.
+    "same" pads both sides (odd K required); "valid" pads nothing and gives
+    the T - K + 1 outputs whose window lies inside x, so a caller that puts
+    K - 1 zero positions in front of x gets a causal convolution, in which
+    output t never sees inputs beyond t. Runs as im2col: the K taps are
+    copied side by side into one column buffer [B, T_out, K * Cin], so the
+    output is one GEMM with the flattened kernel, and the kernel and input
+    gradients are one GEMM each.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
@@ -614,26 +557,24 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
     if pad_mode == "same":
         if k % 2 == 0:
             raise ShapeError("conv1d: same-padding requires odd kernel width")
-        left, right = k // 2, k // 2
-    elif pad_mode == "causal":
-        left, right = k - 1, 0
+        pad = k // 2
     elif pad_mode == "valid":
-        left, right = 0, 0
+        pad = 0
         if x.shape[1] < k:
             raise ShapeError(f"conv1d: {x.shape[1]} positions, kernel width {k}")
     else:
         raise ShapeError(f"conv1d: unknown pad_mode {pad_mode!r}")
     bsz, t_in, cin = x.shape
     cout = kernel.shape[2]
-    t = t_in + left + right - k + 1
-    # tap j of output i reads input i + j - left; outputs lo..hi-1 of tap j
+    t = t_in + 2 * pad - k + 1
+    # tap j of output i reads input i + j - pad; outputs lo..hi-1 of tap j
     # read inside x, the rest stay zero, and a tap that misses x entirely
     # (T shorter than the padding) is dropped
-    spans = [(j, max(0, left - j), min(t, t_in + left - j)) for j in range(k)]
+    spans = [(j, max(0, pad - j), min(t, t_in + pad - j)) for j in range(k)]
     spans = [(j, lo, hi) for j, lo, hi in spans if lo < hi]
     cols = np.zeros((bsz, t, k, cin))
     for j, lo, hi in spans:
-        cols[:, lo:hi, j] = x.data[:, lo + j - left:hi + j - left]
+        cols[:, lo:hi, j] = x.data[:, lo + j - pad:hi + j - pad]
     cols2d = cols.reshape(bsz * t, k * cin)
     kernel2d = kernel.data.reshape(k * cin, cout)
     data = (cols2d @ kernel2d).reshape(bsz, t, cout)
@@ -644,33 +585,28 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
         gcols = (g2d @ kernel2d.T).reshape(bsz, t, k, cin)
         gx = np.zeros_like(x.data)
         for j, lo, hi in spans:
-            gx[:, lo + j - left:hi + j - left] += gcols[:, lo:hi, j]
+            gx[:, lo + j - pad:hi + j - pad] += gcols[:, lo:hi, j]
         return gx, gk
 
     return _make(data, (x, kernel), vjp)
 
 
-def glu(x, axis: int = -1) -> Tensor:
-    """Gated linear unit: first half of axis times sigmoid of second half."""
+def glu(x) -> Tensor:
+    """Gated linear unit: first half of the last axis times sigmoid of the
+    second half."""
     x = _as_tensor(x)
-    n = x.shape[axis]
+    n = x.shape[-1]
     if n % 2 != 0:
-        raise ShapeError(f"glu: axis extent {n} is odd")
+        raise ShapeError(f"glu: last axis extent {n} is odd")
     half = n // 2
-    key_a = [slice(None)] * x.ndim
-    key_b = [slice(None)] * x.ndim
-    key_a[axis] = slice(0, half)
-    key_b[axis] = slice(half, n)
-    key_a, key_b = tuple(key_a), tuple(key_b)
-    a = x.data[key_a]
-    b = x.data[key_b]
-    sig = _sigmoid(b)
+    a = x.data[..., :half]
+    sig = _sigmoid(x.data[..., half:])
     data = a * sig
 
     def vjp(g):
         gx = np.empty_like(x.data)
-        gx[key_a] = g * sig
-        gx[key_b] = g * a * sig * (1.0 - sig)
+        gx[..., :half] = g * sig
+        gx[..., half:] = g * a * sig * (1.0 - sig)
         return (gx,)
 
     return _make(data, (x,), vjp)

@@ -119,6 +119,10 @@ class ExperimentConfig:
         if self.arch not in _ARCH_PRESET:
             raise ConfigError(f"unknown architecture {self.arch!r}; "
                               f"known: {sorted(_ARCH_PRESET)}")
+        if self.upsample_real < 1:
+            raise ConfigError(f"upsample_real must be >= 1, got {self.upsample_real}")
+        if self.bpe_merges < 0:
+            raise ConfigError(f"bpe_merges must be >= 0, got {self.bpe_merges}")
         self.model_config(self.train_config().dropout)
         self.decode_config()
 
@@ -130,6 +134,8 @@ class ExperimentConfig:
         base.seed = fan_seed(self.seed, "train")
         base = dataclasses.replace(
             base, **load_fields(TrainConfig, dump_fields(self), "train", strict=True))
+        if base.arch != self.arch:
+            raise ConfigError(f"train.arch {base.arch!r} contradicts arch {self.arch!r}")
         base.validate()
         return base
 

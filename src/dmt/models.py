@@ -50,6 +50,11 @@ NEG_INF = float("-inf")
 # configs
 
 
+def _check_dropout(p: float):
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout {p} outside [0, 1)")
+
+
 @dataclass(frozen=True)
 class LstmConfig:
     embed_dim: int = 256
@@ -60,6 +65,7 @@ class LstmConfig:
     def validate(self):
         if min(self.embed_dim, self.hidden_dim) < 1:
             raise ConfigError("lstm config extents must be positive")
+        _check_dropout(self.dropout)
 
     @property
     def arch(self):
@@ -76,10 +82,12 @@ class ConvConfig:
     max_positions: int = 512
 
     def validate(self):
-        if min(self.enc_layers, self.dec_layers, self.dim, self.kernel_width) < 1:
+        if min(self.enc_layers, self.dec_layers, self.dim, self.kernel_width,
+               self.max_positions) < 1:
             raise ConfigError("conv config extents must be positive")
         if self.kernel_width % 2 == 0:
             raise ConfigError("conv kernel width must be odd")
+        _check_dropout(self.dropout)
 
     @property
     def arch(self):
@@ -99,8 +107,9 @@ class TransformerConfig:
 
     def validate(self):
         if min(self.enc_layers, self.dec_layers, self.d_model,
-               self.n_heads, self.d_ffn) < 1:
+               self.n_heads, self.d_ffn, self.max_positions) < 1:
             raise ConfigError("transformer config extents must be positive")
+        _check_dropout(self.dropout)
         if self.d_model % self.n_heads != 0 and not self.allow_uneven_heads:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}; "
@@ -189,13 +198,6 @@ def _pad_bias(pad_mask: np.ndarray) -> Tensor:
 def _causal_bias(t: int) -> Tensor:
     bias = np.triu(np.full((t, t), NEG_INF), k=1)
     return Tensor(bias[None, :, :])
-
-
-def _tail(prev: np.ndarray, new: np.ndarray, n: int) -> np.ndarray:
-    """The last n positions (axis 1) of prev followed by new; n may be 0."""
-    if new.shape[1] < n:
-        new = np.concatenate([prev, new], axis=1)
-    return new[:, new.shape[1] - n:]
 
 
 def _linear(x, w, b=None):
@@ -429,9 +431,12 @@ class ConvModel(SeqModel):
     """Stacked gated convolutions with residuals and learned positions.
 
     Encoder layers use same-padding with pad positions zeroed before every
-    convolution (so padding a batch never leaks into real positions);
-    decoder layers are causal, each followed by dot-product attention over
-    the encoder states.
+    convolution (so padding a batch never leaks into real positions).
+    Decoder layers are causal, each followed by dot-product attention over
+    the encoder states: every decoder convolution is "valid" over the
+    layer's k - 1 previous inputs followed by the new ones, and at position
+    0 those previous inputs are the zero windows ``init_state`` holds, which
+    are the causal padding.
     """
 
     def _build(self, f: _ParamFactory):
@@ -469,7 +474,7 @@ class ConvModel(SeqModel):
         for l in range(cfg.enc_layers):
             y = ad.add(ad.conv1d(x, self.params[f"enc.l{l}.kernel"], "same"),
                        self.params[f"enc.l{l}.b"])
-            g = ad.glu(y, axis=-1)
+            g = ad.glu(y)
             x = ad.mul(ad.add(x, g), keep)
         return EncoderMemory(states=x, pad_mask=pad)
 
@@ -479,7 +484,7 @@ class ConvModel(SeqModel):
         cfg = self.config
         b = memory.states.shape[0]
         # each layer's inputs at the k - 1 positions before the next one;
-        # zeros before position 0, as causal padding has them
+        # zeros before position 0: the causal padding
         windows = {f"win{l}": Tensor(np.zeros((b, cfg.kernel_width - 1, cfg.dim)))
                    for l in range(cfg.dec_layers)}
         return DecodeState(0, states=memory.states, bias=_pad_bias(memory.pad_mask),
@@ -493,12 +498,10 @@ class ConvModel(SeqModel):
         y = ad.dropout(y, cfg.dropout, rng, training)
         windows = {}
         for l in range(cfg.dec_layers):
-            win = s[f"win{l}"]
-            # from position 0, causal padding supplies the zeros before it
-            conv_in, mode = (ad.concat([win, y], axis=1), "valid") if state.t else (y, "causal")
-            windows[f"win{l}"] = Tensor(_tail(win.data, conv_in.data, cfg.kernel_width - 1))
-            h = ad.glu(ad.add(ad.conv1d(conv_in, p[f"dec.l{l}.kernel"], mode),
-                              p[f"dec.l{l}.b"]), axis=-1)
+            conv_in = ad.concat([s[f"win{l}"], y], axis=1)
+            windows[f"win{l}"] = Tensor(conv_in.data[:, n:])
+            h = ad.glu(ad.add(ad.conv1d(conv_in, p[f"dec.l{l}.kernel"], "valid"),
+                              p[f"dec.l{l}.b"]))
             ctx = ad.attention(h, s["states"], s["states"], s["bias"], [cfg.dim], 1.0)
             y = ad.add(y, ad.add(h, ctx))
         y = ad.dropout(y, cfg.dropout, rng, training)

@@ -131,7 +131,8 @@ def conv1d_reference(x, kernel, pad_mode):
     starting at j times kernel[j], composed from concat (the zero padding),
     slice_axis, reshape, matmul and add, so its gradient comes from their
     VJPs rather than from the im2col closed form. Takes only shapes the op
-    accepts."""
+    accepts, and also "causal": k - 1 zero positions in front of x, as the
+    conv decoder puts them before its "valid" convolution."""
     k, cin, cout = kernel.shape
     left, right = {"same": (k // 2, k // 2), "causal": (k - 1, 0), "valid": (0, 0)}[pad_mode]
     bsz = x.shape[0]

@@ -61,7 +61,7 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
     def test_grads(self, op):
         rng = RngState(11)
         a, b = rand(rng, 2, 3), rand(rng, 2, 3)
@@ -132,11 +132,10 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-15)
 
     def test_all_masked_row_is_zero_and_faulted(self):
-        ad.reset_faults()
+        before = ad.fault_count()
         out = ad.softmax(Tensor([[ad.NEG_INF, ad.NEG_INF]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
-        assert ad.fault_count() == 1
-        ad.reset_faults()
+        assert ad.fault_count() - before == 1
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = RngState(18)
@@ -206,7 +205,7 @@ class TestEmbedding:
         out = ad.embedding(table, ids)
         ad.backward(ad.reduce_sum(out))
         np.testing.assert_allclose(table.grad[1], [2.0, 2.0])
-        table.zero_grad()
+        ad.zero_grad([table])
 
 
 class TestConv:
@@ -217,36 +216,32 @@ class TestConv:
         out = ad.conv1d(x, kernel, pad_mode="same")
         np.testing.assert_allclose(out.data, x.data)
 
-    def test_causal_ignores_future(self):
-        rng = RngState(25)
-        base = rng.uniform((1, 6, 2))
-        kernel = Tensor(rng.uniform((3, 2, 4)))
-        out1 = ad.conv1d(Tensor(base), kernel, pad_mode="causal")
-        bumped = base.copy()
-        bumped[0, 4, :] += 10.0
-        out2 = ad.conv1d(Tensor(bumped), kernel, pad_mode="causal")
-        np.testing.assert_array_equal(out1.data[:, :4, :], out2.data[:, :4, :])
-        assert not np.array_equal(out1.data[:, 4:, :], out2.data[:, 4:, :])
-
     def test_even_kernel_same_rejected(self):
         with pytest.raises(ShapeError):
             ad.conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((2, 2, 2))), "same")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ShapeError, match="unknown pad_mode"):
-            ad.conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((3, 2, 2))), "full")
+        for mode in ("full", "causal"):
+            with pytest.raises(ShapeError, match="unknown pad_mode"):
+                ad.conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((3, 2, 2))), mode)
 
     def test_valid_is_causal_without_the_padded_outputs(self):
+        """valid over x behind k - 1 zero positions, as the conv decoder
+        convolves, is the per-tap causal convolution of x; valid over x
+        alone is its last T - k + 1 outputs."""
         rng = RngState(27)
         x, kernel = Tensor(rng.uniform((2, 6, 3))), Tensor(rng.uniform((3, 3, 4)))
+        causal = ad.conv1d(ad.concat([Tensor(np.zeros((2, 2, 3))), x], axis=1), kernel,
+                           "valid")
+        np.testing.assert_allclose(causal.data, conv1d_reference(x, kernel, "causal").data,
+                                   rtol=0, atol=1e-12)
         valid = ad.conv1d(x, kernel, pad_mode="valid")
         assert valid.shape == (2, 4, 4)
-        np.testing.assert_allclose(valid.data, ad.conv1d(x, kernel, "causal").data[:, 2:],
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(valid.data, causal.data[:, 2:], rtol=0, atol=1e-12)
         with pytest.raises(ShapeError):
             ad.conv1d(Tensor(np.zeros((1, 2, 3))), kernel, "valid")
 
-    @pytest.mark.parametrize("mode", ["same", "causal", "valid"])
+    @pytest.mark.parametrize("mode", ["same", "valid"])
     def test_grads(self, mode):
         rng = RngState(26)
         x, kernel = rand(rng, 2, 5, 3), rand(rng, 3, 3, 4)
@@ -272,14 +267,13 @@ class TestConv:
         assert out.shape == ref_out.shape
         return [rel_diff(out, ref_out)] + [rel_diff(g, r) for g, r in zip(grads, ref_grads)]
 
-    # every pad mode and kernel width at T = 9, then inputs shorter than
-    # the padding, where some taps read only zeros and their column spans
+    # both pad modes and every kernel width at T = 9, then inputs shorter
+    # than the padding, where some taps read only zeros and their column spans
     # must come out empty, not wrap round
     @pytest.mark.parametrize("bsz, t_len, k, mode", [
         (bsz, 9, k, mode) for bsz in (1, 3) for k in (1, 3, 5, 7)
-        for mode in ("same", "causal", "valid")] + [
-        (2, 2, 7, "same"), (2, 1, 7, "same"), (2, 3, 7, "same"),
-        (2, 1, 5, "causal"), (2, 2, 7, "causal")])
+        for mode in ("same", "valid")] + [
+        (2, 2, 7, "same"), (2, 1, 7, "same"), (2, 3, 7, "same")])
     def test_matches_per_tap_reference(self, bsz, t_len, k, mode):
         """im2col changes only the summation order: output and both
         gradients agree with the per-tap loop to rounding."""
@@ -351,7 +345,7 @@ class TestStructural:
 
     @pytest.mark.parametrize("build_name", ["concat", "slice", "transpose", "reshape",
                                             "gather_last", "select_time", "gather_time",
-                                            "reduce_sum", "reduce_mean"])
+                                            "reduce_sum"])
     def test_grads(self, build_name):
         rng = RngState(29)
         x = rand(rng, 3, 4, 2)
@@ -369,7 +363,6 @@ class TestStructural:
                                                                 [3, 3, 0, 1],
                                                                 [2, 1, 0, 0]])), [x]),
             "reduce_sum": (lambda: ad.reduce_sum(x, axis=1), [x]),
-            "reduce_mean": (lambda: ad.reduce_mean(x, axis=-1), [x]),
         }
         build, tensors = builds[build_name]
         check_grads(build, tensors)
@@ -467,9 +460,9 @@ class TestAttention:
         w = rng.uniform((3, tq, d), -1.0, 1.0)
 
         def run(fn):
-            ad.reset_faults()
+            before = ad.fault_count()
             out = fn(q, k, v, bias, dims, scale)
-            faults = ad.fault_count()
+            faults = ad.fault_count() - before
             ad.backward(ad.reduce_sum(ad.mul(out, w)))
             grads = [t.grad for t in (q, k, v)]
             ad.zero_grad([q, k, v])
@@ -477,7 +470,6 @@ class TestAttention:
 
         out, grads, faults = run(ad.attention)
         ref_out, ref_grads, ref_faults = run(attention_reference)
-        ad.reset_faults()
         assert out.shape == (3, tq, d)
         assert faults == ref_faults == (len(dims) * tq if bias_kind == "pad" else 0)
         assert rel_diff(out, ref_out) <= 1e-12
@@ -506,10 +498,10 @@ class TestBackward:
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         ad.backward(ad.reduce_sum(ad.mul(x, x)))
         first = x.grad.copy()
-        x.zero_grad()
+        ad.zero_grad([x])
         ad.backward(ad.reduce_sum(ad.mul(x, x)))
         np.testing.assert_array_equal(first, x.grad)
-        x.zero_grad()
+        ad.zero_grad([x])
 
     def test_accumulation_over_two_uses(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -528,7 +520,7 @@ class TestBackward:
         with pytest.raises(ShapeError):
             ad.backward(ad.mul(x, x))
         ad.backward(ad.reduce_sum(x))  # drain the tape
-        x.zero_grad()
+        ad.zero_grad([x])
 
     def test_no_grad_records_nothing(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
