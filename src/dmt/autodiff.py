@@ -1,5 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
+A tensor is float64 unless it is built from a float32 array, and every op
+computes in the dtype of its inputs, so a float32 model (decoding's
+``model.cast("float32")``) runs float32 end to end while training stays
+float64. An op upcasts only when handed mixed dtypes; the models build
+their constants (masks, biases, zero states) in their parameters' dtype.
+
 Every operation records a node on a global tape while gradients are
 enabled; ``backward(loss)`` walks the tape in reverse execution order
 (a valid reverse topological order), accumulates gradients with ``+=``
@@ -95,12 +101,15 @@ class RngState:
 
 
 class Tensor:
-    """Row-major float64 array with optional gradient accumulation."""
+    """Row-major float64 (or float32) array with optional gradient
+    accumulation."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if not (isinstance(data, np.ndarray) and data.dtype == np.float32):
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -572,7 +581,7 @@ def conv1d(x, kernel, pad_mode: str = "same") -> Tensor:
     # (T shorter than the padding) is dropped
     spans = [(j, max(0, pad - j), min(t, t_in + pad - j)) for j in range(k)]
     spans = [(j, lo, hi) for j, lo, hi in spans if lo < hi]
-    cols = np.zeros((bsz, t, k, cin))
+    cols = np.zeros((bsz, t, k, cin), dtype=x.data.dtype)
     for j, lo, hi in spans:
         cols[:, lo:hi, j] = x.data[:, lo + j - pad:hi + j - pad]
     cols2d = cols.reshape(bsz * t, k * cin)
@@ -650,8 +659,9 @@ def attention(q, k, v, bias, head_dims, scale) -> Tensor:
 
     q[B, Tq, D] attends over k, v[B, Tk, D] (k may be v), split into heads
     of the given widths (summing to D); scale, one number or one per head,
-    multiplies each head's queries. bias is a constant additive mask that
-    broadcasts to [B, Tq, Tk] and is added to every head's scores, or None.
+    multiplies each head's queries, and a unit scale is skipped. bias is a
+    constant additive mask that broadcasts to [B, Tq, Tk] and is added to
+    every head's scores, or None.
     Returns the heads' outputs side by side, [B, Tq, D]. Ragged heads are
     zero-padded to the widest, which adds nothing to their scores. A fully
     masked row of a head comes out all-zero and counts as one fault, as in
@@ -664,9 +674,14 @@ def attention(q, k, v, bias, head_dims, scale) -> Tensor:
                          f"must be [B, Tq, D], [B, Tk, D], [B, Tk, D]")
     n_heads = len(head_dims)
     layout = _head_layout(head_dims, q.shape[2])
-    if np.ndim(scale):  # one per head
-        scale = np.reshape(scale, (-1, 1, 1))
-    qh = _split_heads(q.data, n_heads, layout) * scale
+    scale = np.asarray(scale, dtype=q.data.dtype)
+    if scale.ndim:  # one per head
+        scale = scale.reshape(-1, 1, 1)
+    elif scale == 1.0:
+        scale = None
+    qh = _split_heads(q.data, n_heads, layout)
+    if scale is not None:
+        qh = qh * scale
     kh = _split_heads(k.data, n_heads, layout)
     vh = _split_heads(v.data, n_heads, layout)
     scores = np.matmul(qh, kh.swapaxes(-1, -2))
@@ -684,7 +699,8 @@ def attention(q, k, v, bias, head_dims, scale) -> Tensor:
         gh = _split_heads(g, n_heads, layout)
         gp = np.matmul(gh, vh.swapaxes(-1, -2))
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        return (_merge_heads(np.matmul(gs, kh) * scale, layout),
+        gq = np.matmul(gs, kh)
+        return (_merge_heads(gq if scale is None else gq * scale, layout),
                 _merge_heads(np.matmul(gs.swapaxes(-1, -2), qh), layout),
                 _merge_heads(np.matmul(p.swapaxes(-1, -2), gh), layout))
 
@@ -713,16 +729,17 @@ def lstm(x, w_ih, w_hh, b, h0=None, c0=None):
     if w_ih.shape != (e, 4 * hd) or w_hh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
         raise ShapeError(f"lstm: weights {w_ih.shape}, {w_hh.shape}, {b.shape} "
                          f"do not fit input width {e} and hidden width {hd}")
-    h0 = Tensor(np.zeros((bsz, hd))) if h0 is None else _as_tensor(h0)
-    c0 = Tensor(np.zeros((bsz, hd))) if c0 is None else _as_tensor(c0)
+    dtype = x.data.dtype
+    h0 = Tensor(np.zeros((bsz, hd), dtype)) if h0 is None else _as_tensor(h0)
+    c0 = Tensor(np.zeros((bsz, hd), dtype)) if c0 is None else _as_tensor(c0)
     if h0.shape != (bsz, hd) or c0.shape != (bsz, hd):
         raise ShapeError(f"lstm: h0 {h0.shape} and c0 {c0.shape} must be {(bsz, hd)}")
 
     xw = (x.data.reshape(-1, e) @ w_ih.data).reshape(bsz, t_len, 4 * hd)
-    acts = np.empty((bsz, t_len, 4 * hd))  # gate activations i, f, g, o
-    hc = np.empty((2, bsz, t_len, hd))
+    acts = np.empty((bsz, t_len, 4 * hd), dtype)  # gate activations i, f, g, o
+    hc = np.empty((2, bsz, t_len, hd), dtype)
     hs, cs = hc
-    tanh_cs = np.empty((bsz, t_len, hd))
+    tanh_cs = np.empty((bsz, t_len, hd), dtype)
     h, c = h0.data, c0.data
     for t in range(t_len):
         z = xw[:, t] + h @ w_hh.data + b.data
@@ -738,8 +755,8 @@ def lstm(x, w_ih, w_hh, b, h0=None, c0=None):
     def vjp(g_hc):
         g_hs, g_cs = g_hc
         dz = np.empty_like(acts)
-        dh = np.zeros((bsz, hd))
-        dc = np.zeros((bsz, hd))
+        dh = np.zeros((bsz, hd), dtype)
+        dc = np.zeros((bsz, hd), dtype)
         for t in range(t_len - 1, -1, -1):
             dh = dh + g_hs[:, t]
             dc = dc + g_cs[:, t]

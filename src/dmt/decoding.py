@@ -14,6 +14,11 @@ feed (``max_positions`` of the conv and transformer configs), and
 search; ``decode_many`` (``translate_lines``, dev BLEU in training) runs
 it DECODE_CHUNK sentences at a time.
 
+A search runs the model in ``DecodeConfig.dtype``, float32 by default:
+one ``model.cast(dtype)`` per search, and every step's logits are turned
+to float64 before they are scored, so scores, ties and stopping are
+float64 arithmetic whatever the model ran in.
+
 Ordering is deterministic: a sentence keeps its top candidates by raw
 log-probability, ties to the lower parent row, then the lower token id;
 finished hypotheses rank by normalized score, then raw log-probability,
@@ -22,6 +27,8 @@ then shorter output, then the lexicographically smaller id sequence.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +42,35 @@ __all__ = ["DecodeConfig", "Hypothesis", "greedy_decode",
            "greedy_decode_batch", "decode_many", "beam_decode", "translate_lines"]
 
 DECODE_CHUNK = 64  # sentences per search in decode_many
+DTYPES = ("float32", "float64")  # the values of DecodeConfig.dtype
+
+
+def _check_count(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
+    """How a search runs: beam width (1 is greedy), the length cap, the
+    length penalty alpha, and the dtype the model computes in. float32
+    halves the weight bytes each step streams; float64 reproduces the
+    training arithmetic. Either way scores are float64."""
     beam: int = 5
     max_len: int = None          # None: 2 * source length + 10
     length_penalty: float = 1.0  # score divided by length**alpha
+    dtype: str = "float32"
 
     def __post_init__(self):
-        if self.beam < 1:
-            raise ConfigError(f"beam must be >= 1, got {self.beam}")
-        if self.max_len is not None and self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        if self.length_penalty < 0.0:
-            raise ConfigError("length_penalty must be >= 0")
+        _check_count("beam", self.beam)
+        if self.max_len is not None:
+            _check_count("max_len", self.max_len)
+        if not (isinstance(self.length_penalty, numbers.Real)
+                and math.isfinite(self.length_penalty) and self.length_penalty >= 0.0):
+            raise ConfigError(f"length_penalty must be finite and >= 0, "
+                              f"got {self.length_penalty!r}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
     def resolved_max_len(self, src_len: int) -> int:
         return self.max_len if self.max_len is not None else 2 * src_len + 10
@@ -78,8 +99,9 @@ class Hypothesis:
 
 
 def _step_logprobs(logits: np.ndarray) -> np.ndarray:
-    """Next-token log-probs with PAD and BOS barred from generation."""
-    x = logits.copy()
+    """Next-token float64 log-probs with PAD and BOS barred from
+    generation."""
+    x = logits.astype(np.float64)
     x[:, PAD_ID] = -np.inf
     x[:, BOS_ID] = -np.inf
     m = x.max(axis=-1, keepdims=True)
@@ -130,7 +152,8 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     that ends in EOS or reaches its sentence's length cap joins that
     sentence's done set. A sentence stops when none of its candidates
     lives on, or when its best finished normalized score can no longer be
-    beaten; its rows then leave the state. Greedy search is beam 1.
+    beaten; its rows then leave the state. Greedy search is beam 1. The
+    model runs in ``config.dtype``, cast once here.
     """
     alpha = config.length_penalty
     n = src.shape[0]
@@ -141,6 +164,7 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     bound = np.array([float(c) ** alpha for c in caps])  # best score / bound: best possible
     done = [[] for _ in range(n)]
     best_done = np.full(n, np.nan)  # best finished normalized score; NaN: none yet
+    model = model.cast(config.dtype)
     with ad.no_grad():
         state = model.init_state(model.encode(src, pad_mask))
         sent = np.arange(n)                     # the sentence of each live row

@@ -23,10 +23,16 @@ reaches the encoder through it; the state ``_decode`` returns is built
 from plain arrays and records nothing on the tape. ``state.select(rows)``
 reorders, repeats or drops rows, as search does with parent and finished
 hypotheses.
+
+Parameters are float64, for training and in checkpoints. ``cast("float32")``
+gives a float32 copy of a model for decoding; every constant a model
+builds (masks, biases, zero states, positions) takes its parameters'
+dtype, so that copy runs float32 end to end.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -190,13 +196,13 @@ class DecodeState:
         return DecodeState(self.t + n, **{**self.tensors, **updates})
 
 
-def _pad_bias(pad_mask: np.ndarray) -> Tensor:
+def _pad_bias(pad_mask: np.ndarray, dtype) -> Tensor:
     """[B, 1, S] additive bias: -inf at pads, 0 elsewhere."""
-    return Tensor(np.where(pad_mask[:, None, :], NEG_INF, 0.0))
+    return Tensor(np.where(pad_mask[:, None, :], NEG_INF, 0.0).astype(dtype, copy=False))
 
 
-def _causal_bias(t: int) -> Tensor:
-    bias = np.triu(np.full((t, t), NEG_INF), k=1)
+def _causal_bias(t: int, dtype) -> Tensor:
+    bias = np.triu(np.full((t, t), NEG_INF, dtype), k=1)
     return Tensor(bias[None, :, :])
 
 
@@ -263,9 +269,22 @@ class SeqModel:
         self.tgt_vocab = tgt_vocab
         self.src_vocab_size = len(src_vocab)
         self.tgt_vocab_size = len(tgt_vocab)
+        self.dtype = np.dtype(np.float64)
         factory = _ParamFactory(seed)
         self._build(factory)
         self.params = factory.params
+
+    def cast(self, dtype) -> "SeqModel":
+        """This model with its parameters in dtype, for decoding: the model
+        itself when they are dtype already, else a shallow copy whose
+        parameters are dtype copies that take no gradient."""
+        dtype = np.dtype(dtype)
+        if dtype == self.dtype:
+            return self
+        twin = copy.copy(self)
+        twin.dtype = dtype
+        twin.params = {k: Tensor(p.data.astype(dtype)) for k, p in self.params.items()}
+        return twin
 
     # subclasses fill these in
     def _build(self, f: _ParamFactory):
@@ -409,7 +428,7 @@ class LstmModel(SeqModel):
 
     def init_state(self, memory) -> DecodeState:
         return DecodeState(0, h=memory.h0, c=memory.c0, states=memory.states,
-                           bias=_pad_bias(memory.pad_mask))
+                           bias=_pad_bias(memory.pad_mask, self.dtype))
 
     def _decode(self, state: DecodeState, ids, training=False, rng=None):
         cfg, s = self.config, state.tensors
@@ -466,7 +485,7 @@ class ConvModel(SeqModel):
         cfg = self.config
         src_ids, pad = self._prep_source(src_ids, src_pad_mask)
         b, s = src_ids.shape
-        keep = Tensor((~pad)[:, :, None].astype(float))
+        keep = Tensor((~pad)[:, :, None].astype(self.dtype))
         x = ad.add(ad.embedding(self.params["src_embed"], src_ids),
                    self._positions("enc_pos", s))
         x = ad.dropout(x, cfg.dropout, rng, training)
@@ -485,10 +504,10 @@ class ConvModel(SeqModel):
         b = memory.states.shape[0]
         # each layer's inputs at the k - 1 positions before the next one;
         # zeros before position 0: the causal padding
-        windows = {f"win{l}": Tensor(np.zeros((b, cfg.kernel_width - 1, cfg.dim)))
-                   for l in range(cfg.dec_layers)}
-        return DecodeState(0, states=memory.states, bias=_pad_bias(memory.pad_mask),
-                           **windows)
+        shape = (b, cfg.kernel_width - 1, cfg.dim)
+        windows = {f"win{l}": Tensor(np.zeros(shape, self.dtype)) for l in range(cfg.dec_layers)}
+        return DecodeState(0, states=memory.states,
+                           bias=_pad_bias(memory.pad_mask, self.dtype), **windows)
 
     def _decode(self, state: DecodeState, ids, training=False, rng=None):
         cfg, s, p = self.config, state.tensors, self.params
@@ -555,6 +574,13 @@ class TransformerModel(SeqModel):
         self._head_dims = cfg.head_dims()
         self._head_scale = 1.0 / np.sqrt(np.asarray(self._head_dims, dtype=np.float64))
 
+    def cast(self, dtype) -> "TransformerModel":
+        twin = super().cast(dtype)
+        if twin is not self:
+            twin._pe = self._pe.astype(dtype)
+            twin._head_scale = self._head_scale.astype(dtype)
+        return twin
+
     def _embed(self, table, ids, rng, training, start=0):
         """Scaled embeddings of ids[B, n] plus the sinusoids of positions
         start .. start + n - 1."""
@@ -563,7 +589,8 @@ class TransformerModel(SeqModel):
         if end > cfg.max_positions:
             raise ShapeError(
                 f"sequence length {end} exceeds max_positions {cfg.max_positions}")
-        x = ad.mul(ad.embedding(table, ids), math.sqrt(cfg.d_model))
+        scale = np.asarray(math.sqrt(cfg.d_model), self.dtype)
+        x = ad.mul(ad.embedding(table, ids), scale)
         x = ad.add(x, Tensor(self._pe[start:end]))
         return ad.dropout(x, cfg.dropout, rng, training)
 
@@ -596,7 +623,7 @@ class TransformerModel(SeqModel):
         cfg = self.config
         src_ids, pad = self._prep_source(src_ids, src_pad_mask)
         drop = lambda t: ad.dropout(t, cfg.dropout, rng, training)
-        bias = _pad_bias(pad)
+        bias = _pad_bias(pad, self.dtype)
         x = self._embed(self.params["src_embed"], src_ids, rng, training)
         for l in range(cfg.enc_layers):
             base = f"enc.l{l}"
@@ -614,7 +641,7 @@ class TransformerModel(SeqModel):
             base = f"dec.l{l}.cross"
             cache[f"cross_k{l}"] = self._proj(base, "k", memory.states)
             cache[f"cross_v{l}"] = self._proj(base, "v", memory.states)
-        return DecodeState(0, bias=_pad_bias(memory.pad_mask), **cache)
+        return DecodeState(0, bias=_pad_bias(memory.pad_mask, self.dtype), **cache)
 
     def _decode(self, state: DecodeState, ids, training=False, rng=None):
         cfg, s = self.config, state.tensors
@@ -622,7 +649,7 @@ class TransformerModel(SeqModel):
         drop = lambda t: ad.dropout(t, cfg.dropout, rng, training)
         # more than one position is the whole prefix from position 0; a
         # single new position may see every key
-        causal = _causal_bias(n) if n > 1 else None
+        causal = _causal_bias(n, self.dtype) if n > 1 else None
         y = self._embed(self.params["tgt_embed"], ids, rng, training, start=state.t)
         cache = {}
         for l in range(cfg.dec_layers):

@@ -255,6 +255,9 @@ class RecomputeDecoder:
     def __init__(self, model):
         self.model = model
 
+    def cast(self, dtype):
+        return RecomputeDecoder(self.model.cast(dtype))
+
     def encode(self, src_ids, src_pad_mask=None):
         return self.model.encode(src_ids, src_pad_mask)
 

@@ -54,6 +54,21 @@ class TestDecodeConfig:
         with pytest.raises(ConfigError):
             DecodeConfig(max_len=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"beam": 2.5}, {"beam": True}, {"beam": "5"}, {"max_len": 3.5},
+        {"length_penalty": float("nan")}, {"length_penalty": float("inf")},
+        {"dtype": "float16"}, {"dtype": np.float32}],
+        ids=["beam-float", "beam-bool", "beam-str", "max_len-float", "alpha-nan",
+             "alpha-inf", "dtype-float16", "dtype-type"])
+    def test_malformed_values_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            DecodeConfig(**kwargs)
+
+    def test_dtype_and_numpy_integers(self):
+        assert DecodeConfig().dtype == "float32"
+        cfg = DecodeConfig(beam=np.int64(3), max_len=np.int32(7), dtype="float64")
+        assert cfg.beam == 3 and cfg.resolved_max_len(1) == 7
+
 
 class TestGreedy:
     def test_immediate_eos_gives_empty_output(self):

@@ -146,6 +146,18 @@ class TestBuild:
         for name in m1.params:
             np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
 
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_cast_copies_parameters_and_leaves_the_model(self, arch):
+        model = tiny_model(arch)
+        assert model.cast("float64") is model
+        twin = model.cast("float32")
+        assert twin.cast("float32") is twin and twin.dtype == np.float32
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float64 and p.requires_grad
+            q = twin.params[name]
+            assert q.data.dtype == np.float32 and not q.requires_grad
+            np.testing.assert_array_equal(q.data, p.data.astype(np.float32))
+
     def test_different_seed_differs(self):
         m1, m2 = tiny_model("transformer", seed=1), tiny_model("transformer", seed=2)
         assert any(not np.array_equal(m1.params[n].data, m2.params[n].data)

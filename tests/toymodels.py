@@ -65,6 +65,11 @@ class TableModel:
         logits = np.stack([self.logits_fn(src, f[1:]) for src, f in zip(state.src_rows, fed)])
         return logits, TableState(state.src_rows, fed)
 
+    def cast(self, dtype):
+        """Logits come from the table as they are, whatever dtype a search
+        asks for."""
+        return self
+
     def vocab_fingerprints(self):
         return self.src_vocab.fingerprint(), self.tgt_vocab.fingerprint()
 
