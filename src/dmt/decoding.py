@@ -14,10 +14,11 @@ feed (``max_positions`` of the conv and transformer configs), and
 search; ``decode_many`` (``translate_lines``, dev BLEU in training) runs
 it DECODE_CHUNK sentences at a time.
 
-A search runs the model in ``DecodeConfig.dtype``, float32 by default:
-one ``model.cast(dtype)`` per search, and every step's logits are turned
-to float64 before they are scored, so scores, ties and stopping are
-float64 arithmetic whatever the model ran in.
+A search runs the model in float32: ``model.cast(np.float32)`` gives a
+float32 copy of a float64 model, once per ``decode_many`` call and once
+per single search. Every step's logits are turned to float64 before
+they are scored, so scores, ties and stopping are float64 arithmetic.
+Training, checkpoints and ``forward`` stay float64.
 
 Ordering is deterministic: a sentence keeps its top candidates by raw
 log-probability, ties to the lower parent row, then the lower token id;
@@ -42,7 +43,6 @@ __all__ = ["DecodeConfig", "Hypothesis", "greedy_decode",
            "greedy_decode_batch", "decode_many", "beam_decode", "translate_lines"]
 
 DECODE_CHUNK = 64  # sentences per search in decode_many
-DTYPES = ("float32", "float64")  # the values of DecodeConfig.dtype
 
 
 def _check_count(name: str, value):
@@ -52,14 +52,11 @@ def _check_count(name: str, value):
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """How a search runs: beam width (1 is greedy), the length cap, the
-    length penalty alpha, and the dtype the model computes in. float32
-    halves the weight bytes each step streams; float64 reproduces the
-    training arithmetic. Either way scores are float64."""
+    """How a search runs: beam width (1 is greedy), the length cap and
+    the length penalty alpha."""
     beam: int = 5
     max_len: int = None          # None: 2 * source length + 10
     length_penalty: float = 1.0  # score divided by length**alpha
-    dtype: str = "float32"
 
     def __post_init__(self):
         _check_count("beam", self.beam)
@@ -69,8 +66,6 @@ class DecodeConfig:
                 and math.isfinite(self.length_penalty) and self.length_penalty >= 0.0):
             raise ConfigError(f"length_penalty must be finite and >= 0, "
                               f"got {self.length_penalty!r}")
-        if self.dtype not in DTYPES:
-            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
     def resolved_max_len(self, src_len: int) -> int:
         return self.max_len if self.max_len is not None else 2 * src_len + 10
@@ -153,7 +148,7 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     sentence's done set. A sentence stops when none of its candidates
     lives on, or when its best finished normalized score can no longer be
     beaten; its rows then leave the state. Greedy search is beam 1. The
-    model runs in ``config.dtype``, cast once here.
+    model runs in float32.
     """
     alpha = config.length_penalty
     n = src.shape[0]
@@ -164,7 +159,7 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     bound = np.array([float(c) ** alpha for c in caps])  # best score / bound: best possible
     done = [[] for _ in range(n)]
     best_done = np.full(n, np.nan)  # best finished normalized score; NaN: none yet
-    model = model.cast(config.dtype)
+    model = model.cast(np.float32)
     with ad.no_grad():
         state = model.init_state(model.encode(src, pad_mask))
         sent = np.arange(n)                     # the sentence of each live row
@@ -210,6 +205,7 @@ def decode_many(model, id_lists, config: DecodeConfig) -> list:
     """Beam search over many id lists, DECODE_CHUNK at a time, each chunk
     padded to its longest row; the best Hypothesis of each list, in
     order."""
+    model = model.cast(np.float32)  # once for every chunk's search
     hyps = []
     for lo in range(0, len(id_lists), DECODE_CHUNK):
         chunk = id_lists[lo:lo + DECODE_CHUNK]

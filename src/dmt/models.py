@@ -269,20 +269,23 @@ class SeqModel:
         self.tgt_vocab = tgt_vocab
         self.src_vocab_size = len(src_vocab)
         self.tgt_vocab_size = len(tgt_vocab)
-        self.dtype = np.dtype(np.float64)
         factory = _ParamFactory(seed)
         self._build(factory)
         self.params = factory.params
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which every constant the model builds
+        takes."""
+        return self.params["out.b"].data.dtype
 
     def cast(self, dtype) -> "SeqModel":
         """This model with its parameters in dtype, for decoding: the model
         itself when they are dtype already, else a shallow copy whose
         parameters are dtype copies that take no gradient."""
-        dtype = np.dtype(dtype)
-        if dtype == self.dtype:
+        if np.dtype(dtype) == self.dtype:
             return self
         twin = copy.copy(self)
-        twin.dtype = dtype
         twin.params = {k: Tensor(p.data.astype(dtype)) for k, p in self.params.items()}
         return twin
 
@@ -574,13 +577,6 @@ class TransformerModel(SeqModel):
         self._head_dims = cfg.head_dims()
         self._head_scale = 1.0 / np.sqrt(np.asarray(self._head_dims, dtype=np.float64))
 
-    def cast(self, dtype) -> "TransformerModel":
-        twin = super().cast(dtype)
-        if twin is not self:
-            twin._pe = self._pe.astype(dtype)
-            twin._head_scale = self._head_scale.astype(dtype)
-        return twin
-
     def _embed(self, table, ids, rng, training, start=0):
         """Scaled embeddings of ids[B, n] plus the sinusoids of positions
         start .. start + n - 1."""
@@ -591,7 +587,7 @@ class TransformerModel(SeqModel):
                 f"sequence length {end} exceeds max_positions {cfg.max_positions}")
         scale = np.asarray(math.sqrt(cfg.d_model), self.dtype)
         x = ad.mul(ad.embedding(table, ids), scale)
-        x = ad.add(x, Tensor(self._pe[start:end]))
+        x = ad.add(x, Tensor(self._pe[start:end].astype(self.dtype, copy=False)))
         return ad.dropout(x, cfg.dropout, rng, training)
 
     def _proj(self, base, name, x):

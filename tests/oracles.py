@@ -8,7 +8,8 @@ fused multi-head attention's reference is the per-head loop, and the im2col
 convolution's reference is the per-tap loop over a zero-padded input. The
 incremental decoders' reference, RecomputeDecoder, carries no decoder
 state at all: every step re-runs the teacher-forced ``decode_step`` over
-the whole prefix.
+the whole prefix. Float64Search is the float64 reference of the float32
+search: a search through it keeps the model's float64 parameters.
 """
 
 import math
@@ -270,3 +271,18 @@ class RecomputeDecoder:
             [state.prefix, last], axis=1)
         logits = self.model.decode_step(state.memory, prefix).data[:, -1, :]
         return logits, PrefixState(state.memory, prefix)
+
+
+class Float64Search:
+    """A model whose searches run in float64: ``cast``, which every search
+    calls for its float32 copy, returns this wrapper, and everything else
+    is the wrapped model's."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def cast(self, dtype):
+        return self
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)

@@ -56,17 +56,15 @@ class TestDecodeConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"beam": 2.5}, {"beam": True}, {"beam": "5"}, {"max_len": 3.5},
-        {"length_penalty": float("nan")}, {"length_penalty": float("inf")},
-        {"dtype": "float16"}, {"dtype": np.float32}],
+        {"length_penalty": float("nan")}, {"length_penalty": float("inf")}],
         ids=["beam-float", "beam-bool", "beam-str", "max_len-float", "alpha-nan",
-             "alpha-inf", "dtype-float16", "dtype-type"])
+             "alpha-inf"])
     def test_malformed_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             DecodeConfig(**kwargs)
 
-    def test_dtype_and_numpy_integers(self):
-        assert DecodeConfig().dtype == "float32"
-        cfg = DecodeConfig(beam=np.int64(3), max_len=np.int32(7), dtype="float64")
+    def test_numpy_integers_accepted(self):
+        cfg = DecodeConfig(beam=np.int64(3), max_len=np.int32(7))
         assert cfg.beam == 3 and cfg.resolved_max_len(1) == 7
 
 

@@ -2,24 +2,23 @@
 teacher-forced decode_step it must reproduce, greedy and beam search
 through step against the full-recompute RecomputeDecoder of
 tests/oracles.py, and sentences searched together against each searched
-alone. The oracle comparisons held to TOL run the search in float64; the
-float32 search is held to the float64 one and to the oracle by F32_RTOL,
-and must compute in float32 throughout."""
-
-import itertools
+alone. The oracle comparisons held to TOL run the search in float64
+through Float64Search; the float32 search is held to the float64 one and
+to the oracle by F32_RTOL, and must compute in float32 throughout."""
 
 import numpy as np
 import pytest
 
 import dmt.autodiff as ad
+from dmt import decoding
 from dmt.autodiff import RngState
-from dmt.decoding import (DTYPES, DecodeConfig, beam_decode, decode_many, greedy_decode,
+from dmt.decoding import (DecodeConfig, beam_decode, decode_many, greedy_decode,
                           greedy_decode_batch)
 from dmt.errors import ShapeError
-from dmt.models import build_model, config_for_arch
+from dmt.models import SeqModel, build_model, config_for_arch
 from dmt.subword import BOS_ID, EOS_ID, PAD_ID
 
-from oracles import RecomputeDecoder
+from oracles import Float64Search, RecomputeDecoder
 from test_decoding import tiny_real_model
 from test_models import ARCHS, tiny_config, tiny_model, vocab_of_size
 from toymodels import random_table_model
@@ -115,11 +114,11 @@ def test_length_cap_kept_within_max_positions(arch):
     """A source whose default cap (2 * length + 10) passes max_positions
     decodes to max_positions tokens, and the sentence searched beside it
     decodes as it does alone."""
-    model = tiny_model(arch)
+    model = Float64Search(tiny_model(arch))
     model.params["out.b"].data[EOS_ID] = -1e4  # every hypothesis runs to its cap
     long_src, short_src = [4 + i % 8 for i in range(12)], [5, 6]
     for beam in (1, 3):
-        cfg = DecodeConfig(beam=beam, dtype="float64")
+        cfg = DecodeConfig(beam=beam)
         long_hyp, short_hyp = decode_many(model, [long_src, short_src], cfg)
         alone = decode_many(model, [short_src], cfg)[0]
         assert len(long_hyp.ids) == tiny_config(arch).max_positions
@@ -132,17 +131,16 @@ def test_search_outputs_equal_the_recompute_path(arch):
     rng = RngState(31)
     batch = np.array([[4, 5, 6, 7], [8, 9, PAD_ID, PAD_ID], [5, PAD_ID, PAD_ID, PAD_ID]])
     for seed in range(4):
-        model = tiny_real_model(arch, seed)
+        model = Float64Search(tiny_real_model(arch, seed))
         reference = RecomputeDecoder(model)
-        cfg = DecodeConfig(beam=1, max_len=int(rng.uniform((), 3, 10)), dtype="float64")
+        cfg = DecodeConfig(beam=1, max_len=int(rng.uniform((), 3, 10)))
         fast = greedy_decode_batch(model, batch, config=cfg)
         slow = greedy_decode_batch(reference, batch, config=cfg)
         assert [h.ids for h in fast] == [h.ids for h in slow]
         for f, s in zip(fast, slow):
             assert abs(f.logprob - s.logprob) <= TOL
         for src in ([4, 5, 6], [7]):
-            cfg = DecodeConfig(beam=3, max_len=8, length_penalty=[0.0, 1.0][seed % 2],
-                               dtype="float64")
+            cfg = DecodeConfig(beam=3, max_len=8, length_penalty=[0.0, 1.0][seed % 2])
             (_, fast_n), (_, slow_n) = (beam_decode(m, src, cfg) for m in (model, reference))
             assert [h.ids for h in fast_n] == [h.ids for h in slow_n]
             for f, s in zip(fast_n, slow_n):
@@ -185,42 +183,52 @@ def test_encoder_memory_select_equals_encoding_those_rows(arch):
 def test_sentences_decoded_together_equal_each_decoded_alone(case):
     """decode_many searches several sentences of different lengths in one
     state; each must get the ids of beam_decode / greedy_decode on that
-    sentence alone, at beam 5 and beam 1, in either dtype."""
+    sentence alone, at beam 5 and beam 1, in float32 and in float64."""
     sources = [[4, 5, 6, 7, 8], [9], [5, 7, 4], [6, 6]]
     for seed in range(3):
         model = (random_table_model(40 + seed, 10) if case == "table"
                  else tiny_real_model(case, seed))
-        cases = itertools.product(((5, 1.0), (5, 0.0), (1, 1.0)), DTYPES)
-        for (beam, alpha), dtype in cases:
-            cfg = DecodeConfig(beam=beam, length_penalty=alpha, dtype=dtype)
-            together = decode_many(model, sources, cfg)
-            alone = [beam_decode(model, src, cfg)[0] if beam > 1
-                     else greedy_decode(model, src, cfg) for src in sources]
-            assert [h.ids for h in together] == [h.ids for h in alone]
-            for t, a in zip(together, alone):
-                tol = TOL if dtype == "float64" else F32_RTOL * abs(a.logprob)
-                assert abs(t.logprob - a.logprob) <= tol
+        for m, rtol in ((model, F32_RTOL), (Float64Search(model), None)):
+            for beam, alpha in ((5, 1.0), (5, 0.0), (1, 1.0)):
+                cfg = DecodeConfig(beam=beam, length_penalty=alpha)
+                together = decode_many(m, sources, cfg)
+                alone = [beam_decode(m, src, cfg)[0] if beam > 1
+                         else greedy_decode(m, src, cfg) for src in sources]
+                assert [h.ids for h in together] == [h.ids for h in alone]
+                for t, a in zip(together, alone):
+                    tol = TOL if rtol is None else rtol * abs(a.logprob)
+                    assert abs(t.logprob - a.logprob) <= tol
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_float32_search_computes_in_float32(case, monkeypatch):
-    """A float32 search casts the model once and then computes in float32:
-    every op result of encode, init_state, step and select is float32, and
-    so is every tensor of the initial decoder state, so no constant, cache
-    or buffer the model builds upcasts it."""
-    dtypes = []
-    make = ad._make
+    """A search casts the model once, however many chunks decode_many
+    splits it into, and then computes in float32: every op result of
+    encode, init_state, step and select is float32, and so is every tensor
+    of the initial decoder state, so no constant, cache or buffer the
+    model builds upcasts it."""
+    dtypes, copies = [], []
+    make, cast = ad._make, SeqModel.cast
 
     def recording(data, inputs, vjp):
         out = make(data, inputs, vjp)
         dtypes.append(out.data.dtype)
         return out
 
+    def counting(self, dtype):
+        twin = cast(self, dtype)
+        if twin is not self:
+            copies.append(dtype)
+        return twin
+
     monkeypatch.setattr(ad, "_make", recording)
+    monkeypatch.setattr(SeqModel, "cast", counting)
+    monkeypatch.setattr(decoding, "DECODE_CHUNK", 1)
     model = case_model(case)
     src, _ = padded_batch(16)
     decode_many(model, [list(row[row != PAD_ID]) for row in src],
-                DecodeConfig(beam=3, max_len=6, dtype="float32"))
+                DecodeConfig(beam=3, max_len=6))
+    assert copies == [np.float32]
     assert dtypes and set(dtypes) == {np.dtype(np.float32)}
     assert all(p.data.dtype == np.float64 for p in model.params.values())
     twin = model.cast("float32")
@@ -237,11 +245,10 @@ def test_float32_search_matches_float64_and_the_recompute_path(arch):
     for seed in range(4):
         model = tiny_real_model(arch, seed)
         for beam, alpha in ((1, 1.0), (3, 0.0), (3, 1.0)):
-            f32, f64 = (DecodeConfig(beam=beam, max_len=8, length_penalty=alpha, dtype=d)
-                        for d in ("float32", "float64"))
-            got = decode_many(model, sources, f32)
-            for want in (decode_many(model, sources, f64),
-                         decode_many(RecomputeDecoder(model), sources, f32)):
+            cfg = DecodeConfig(beam=beam, max_len=8, length_penalty=alpha)
+            got = decode_many(model, sources, cfg)
+            for want in (decode_many(Float64Search(model), sources, cfg),
+                         decode_many(RecomputeDecoder(model), sources, cfg)):
                 assert [h.ids for h in got] == [h.ids for h in want]
                 for g, w in zip(got, want):
                     assert abs(g.logprob - w.logprob) <= F32_RTOL * abs(w.logprob)
@@ -251,6 +258,6 @@ def test_float32_search_matches_float64_and_the_recompute_path(arch):
 def test_float32_search_is_deterministic(arch):
     """Two float32 searches of the same sources are bit-identical."""
     model = tiny_real_model(arch, 1)
-    cfg = DecodeConfig(beam=3, max_len=8, dtype="float32")
+    cfg = DecodeConfig(beam=3, max_len=8)
     sources = [[4, 5, 6, 7], [8, 9], [5]]
     assert decode_many(model, sources, cfg) == decode_many(model, sources, cfg)
