@@ -14,11 +14,14 @@ feed (``max_positions`` of the conv and transformer configs), and
 search; ``decode_many`` (``translate_lines``, dev BLEU in training) runs
 it DECODE_CHUNK sentences at a time.
 
-A search runs the model in float32: ``model.cast(np.float32)`` gives a
-float32 copy of a float64 model, once per ``decode_many`` call and once
-per single search. Every step's logits are turned to float64 before
-they are scored, so scores, ties and stopping are float64 arithmetic.
-Training, checkpoints and ``forward`` stay float64.
+A search runs the model in its ``search_dtype`` (float32 for the
+transformer, float64 for the LSTM and conv models, see
+``models.SeqModel.search_dtype``): ``model.cast(model.search_dtype)``
+gives a float32 copy of a float64 model, once per ``decode_many`` call
+and once per single search, and is the model itself for float64. Every
+step's logits are turned to float64 before they are scored, so scores,
+ties and stopping are float64 arithmetic. Training, checkpoints and
+``forward`` stay float64.
 
 Ordering is deterministic: a sentence keeps its top candidates by raw
 log-probability, ties to the lower parent row, then the lower token id;
@@ -148,7 +151,7 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     sentence's done set. A sentence stops when none of its candidates
     lives on, or when its best finished normalized score can no longer be
     beaten; its rows then leave the state. Greedy search is beam 1. The
-    model runs in float32.
+    model runs in its ``search_dtype``.
     """
     alpha = config.length_penalty
     n = src.shape[0]
@@ -159,7 +162,7 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     bound = np.array([float(c) ** alpha for c in caps])  # best score / bound: best possible
     done = [[] for _ in range(n)]
     best_done = np.full(n, np.nan)  # best finished normalized score; NaN: none yet
-    model = model.cast(np.float32)
+    model = model.cast(model.search_dtype)
     with ad.no_grad():
         state = model.init_state(model.encode(src, pad_mask))
         sent = np.arange(n)                     # the sentence of each live row
@@ -205,7 +208,7 @@ def decode_many(model, id_lists, config: DecodeConfig) -> list:
     """Beam search over many id lists, DECODE_CHUNK at a time, each chunk
     padded to its longest row; the best Hypothesis of each list, in
     order."""
-    model = model.cast(np.float32)  # once for every chunk's search
+    model = model.cast(model.search_dtype)  # once for every chunk's search
     hyps = []
     for lo in range(0, len(id_lists), DECODE_CHUNK):
         chunk = id_lists[lo:lo + DECODE_CHUNK]

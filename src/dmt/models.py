@@ -27,7 +27,9 @@ hypotheses.
 Parameters are float64, for training and in checkpoints. ``cast("float32")``
 gives a float32 copy of a model for decoding; every constant a model
 builds (masks, biases, zero states, positions) takes its parameters'
-dtype, so that copy runs float32 end to end.
+dtype, so that copy runs float32 end to end. A search runs a model in
+its class's ``search_dtype``: float32 for the transformer, float64 for
+the LSTM and conv models.
 """
 
 from __future__ import annotations
@@ -273,6 +275,20 @@ class SeqModel:
         self._build(factory)
         self.params = factory.params
 
+    # The dtype a search runs the model in. A search step multiplies a few
+    # rows (sentences x beam) by every weight. A product of up to about
+    # 1e6 multiply-adds runs in OpenBLAS's small-matrix kernel, where
+    # float32 beats float64 about twofold with the weight in cache or out
+    # of it; at beam 5 every transformer weight but an output projection
+    # over more than ~780 target types keeps the product that small. Larger ones
+    # take the packed path, where float32 gains only while the weight stays
+    # in the cache the machine's other tenants share: 5x512 @ 512x2048 (the
+    # LSTM's gates) takes 0.59 ms warm and 1.53 ms cold in float32, 1.00 and
+    # 1.35 ms in float64 (one thread of a 2-core Xeon VM, OpenBLAS 0.3.31).
+    # Float32 LSTM and conv searches therefore spread 0.3-0.5 of their
+    # median from run to run, and those models search in float64.
+    search_dtype = np.dtype(np.float32)
+
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype, which every constant the model builds
@@ -359,6 +375,8 @@ class LstmModel(SeqModel):
     input feeding), so it runs once over all positions after the
     recurrence.
     """
+
+    search_dtype = np.dtype(np.float64)  # see SeqModel.search_dtype
 
     def _build(self, f: _ParamFactory):
         cfg = self.config
@@ -460,6 +478,8 @@ class ConvModel(SeqModel):
     0 those previous inputs are the zero windows ``init_state`` holds, which
     are the causal padding.
     """
+
+    search_dtype = np.dtype(np.float64)  # see SeqModel.search_dtype
 
     def _build(self, f: _ParamFactory):
         cfg = self.config

@@ -545,8 +545,9 @@ def _score_tokens(vocab, ids) -> list:
 def evaluate_bleu(model, data, tgt_vocab) -> float:
     """Greedy-decode the dev sources and average sentence BLEU against the
     dev targets on the un-BPE'd, detokenized surface. The search runs in
-    float32, as every search does, so this dev BLEU, which picks the best
-    checkpoint and the target_bleu stop, comes from a float32 decode."""
+    the model's search_dtype, as every search does, so for a transformer
+    this dev BLEU, which picks the best checkpoint and the target_bleu
+    stop, comes from a float32 decode."""
     if not data:
         return 0.0
     hyps = decode_many(model, [s for s, _ in data], DecodeConfig(beam=1))

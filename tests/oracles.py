@@ -256,6 +256,10 @@ class RecomputeDecoder:
     def __init__(self, model):
         self.model = model
 
+    @property
+    def search_dtype(self):
+        return self.model.search_dtype
+
     def cast(self, dtype):
         return RecomputeDecoder(self.model.cast(dtype))
 
@@ -275,8 +279,8 @@ class RecomputeDecoder:
 
 class Float64Search:
     """A model whose searches run in float64: ``cast``, which every search
-    calls for its float32 copy, returns this wrapper, and everything else
-    is the wrapped model's."""
+    calls with the model's ``search_dtype``, returns this wrapper, and
+    everything else is the wrapped model's."""
 
     def __init__(self, model):
         self.model = model

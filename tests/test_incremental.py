@@ -4,7 +4,9 @@ through step against the full-recompute RecomputeDecoder of
 tests/oracles.py, and sentences searched together against each searched
 alone. The oracle comparisons held to TOL run the search in float64
 through Float64Search; the float32 search is held to the float64 one and
-to the oracle by F32_RTOL, and must compute in float32 throughout."""
+to the oracle by F32_RTOL, and must compute in float32 throughout. The
+LSTM and conv models search in float64 by default; the float32 tests
+reach their float32 search through float32_search."""
 
 import numpy as np
 import pytest
@@ -40,6 +42,12 @@ EDGE_CONFIGS = {
                                           max_positions=32, allow_uneven_heads=True),
 }
 CASES = ARCHS + sorted(EDGE_CONFIGS)
+
+
+def float32_search(model):
+    """model, searched in float32 whatever its class's search_dtype."""
+    model.search_dtype = np.dtype(np.float32)
+    return model
 
 
 def case_model(case, seed=0):
@@ -186,8 +194,8 @@ def test_sentences_decoded_together_equal_each_decoded_alone(case):
     sentence alone, at beam 5 and beam 1, in float32 and in float64."""
     sources = [[4, 5, 6, 7, 8], [9], [5, 7, 4], [6, 6]]
     for seed in range(3):
-        model = (random_table_model(40 + seed, 10) if case == "table"
-                 else tiny_real_model(case, seed))
+        model = float32_search(random_table_model(40 + seed, 10) if case == "table"
+                               else tiny_real_model(case, seed))
         for m, rtol in ((model, F32_RTOL), (Float64Search(model), None)):
             for beam, alpha in ((5, 1.0), (5, 0.0), (1, 1.0)):
                 cfg = DecodeConfig(beam=beam, length_penalty=alpha)
@@ -224,7 +232,7 @@ def test_float32_search_computes_in_float32(case, monkeypatch):
     monkeypatch.setattr(ad, "_make", recording)
     monkeypatch.setattr(SeqModel, "cast", counting)
     monkeypatch.setattr(decoding, "DECODE_CHUNK", 1)
-    model = case_model(case)
+    model = float32_search(case_model(case))
     src, _ = padded_batch(16)
     decode_many(model, [list(row[row != PAD_ID]) for row in src],
                 DecodeConfig(beam=3, max_len=6))
@@ -243,7 +251,7 @@ def test_float32_search_matches_float64_and_the_recompute_path(arch):
     float32 RecomputeDecoder, with log-probs within F32_RTOL of both."""
     sources = [[4, 5, 6, 7], [8, 9], [5]]
     for seed in range(4):
-        model = tiny_real_model(arch, seed)
+        model = float32_search(tiny_real_model(arch, seed))
         for beam, alpha in ((1, 1.0), (3, 0.0), (3, 1.0)):
             cfg = DecodeConfig(beam=beam, max_len=8, length_penalty=alpha)
             got = decode_many(model, sources, cfg)
@@ -257,7 +265,32 @@ def test_float32_search_matches_float64_and_the_recompute_path(arch):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_float32_search_is_deterministic(arch):
     """Two float32 searches of the same sources are bit-identical."""
-    model = tiny_real_model(arch, 1)
+    model = float32_search(tiny_real_model(arch, 1))
     cfg = DecodeConfig(beam=3, max_len=8)
     sources = [[4, 5, 6, 7], [8, 9], [5]]
     assert decode_many(model, sources, cfg) == decode_many(model, sources, cfg)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_each_architecture_searches_in_its_search_dtype(arch, monkeypatch):
+    """A transformer search casts the model to float32 once; an LSTM or
+    conv search makes no copy and is bit-identical to the float64 search."""
+    copies = []
+    cast = SeqModel.cast
+
+    def counting(self, dtype):
+        twin = cast(self, dtype)
+        if twin is not self:
+            copies.append(twin.dtype)
+        return twin
+
+    monkeypatch.setattr(SeqModel, "cast", counting)
+    model = tiny_real_model(arch, 2)
+    cfg = DecodeConfig(beam=3, max_len=8)
+    sources = [[4, 5, 6, 7], [8, 9], [5]]
+    got = decode_many(model, sources, cfg)
+    if arch == "transformer":
+        assert model.search_dtype == np.float32 and copies == [np.float32]
+    else:
+        assert model.search_dtype == np.float64 and copies == []
+        assert got == decode_many(Float64Search(model), sources, cfg)

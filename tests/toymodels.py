@@ -35,6 +35,7 @@ class TableModel:
     """Model protocol implementation backed by a logits function."""
 
     arch = "table"
+    search_dtype = np.dtype(np.float64)  # cast ignores it
 
     def __init__(self, logits_fn, src_vocab, tgt_vocab):
         self.logits_fn = logits_fn
