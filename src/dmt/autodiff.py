@@ -430,6 +430,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # lookup / structural ops
 
 
+def _scatter_add(like: np.ndarray, index, g: np.ndarray) -> tuple:
+    """The VJP of a gather ``like[index]``: g added into zeros at index."""
+    gx = np.zeros_like(like)
+    np.add.at(gx, index, g)
+    return (gx,)
+
+
 def embedding(table, ids) -> Tensor:
     """Row gather: out[..., :] = table[ids[...], :]; backward scatter-adds."""
     table = _as_tensor(table)
@@ -438,14 +445,8 @@ def embedding(table, ids) -> Tensor:
         raise ShapeError(
             f"embedding: id out of range [0, {table.shape[0]}): "
             f"min={ids.min()} max={ids.max()}")
-    data = table.data[ids]
-
-    def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (gt,)
-
-    return _make(data, (table,), vjp)
+    return _make(table.data[ids], (table,), lambda g: _scatter_add(
+        table.data, ids.reshape(-1), g.reshape(-1, table.shape[1])))
 
 
 def gather_last(x, ids) -> Tensor:
@@ -470,14 +471,7 @@ def select_time(x, idx) -> Tensor:
     x = _as_tensor(x)
     idx = np.asarray(idx)
     rows = np.arange(x.shape[0])
-    data = x.data[rows, idx]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, idx), g)
-        return (gx,)
-
-    return _make(data, (x,), vjp)
+    return _make(x.data[rows, idx], (x,), lambda g: _scatter_add(x.data, (rows, idx), g))
 
 
 def gather_time(x, perm) -> Tensor:
@@ -485,14 +479,7 @@ def gather_time(x, perm) -> Tensor:
     x = _as_tensor(x)
     perm = np.asarray(perm)
     rows = np.arange(x.shape[0])[:, None]
-    data = x.data[rows, perm]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, perm), g)
-        return (gx,)
-
-    return _make(data, (x,), vjp)
+    return _make(x.data[rows, perm], (x,), lambda g: _scatter_add(x.data, (rows, perm), g))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

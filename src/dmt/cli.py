@@ -85,9 +85,14 @@ def _pipeline_flags(p, checkpoint_flag="--checkpoint"):
 
 
 def _decode_config(args) -> DecodeConfig:
-    return DecodeConfig(beam=args.beam,
-                        max_len=args.max_len if args.max_len > 0 else None,
-                        length_penalty=args.length_penalty)
+    return DecodeConfig.from_settings(args.beam, args.max_len, args.length_penalty)
+
+
+def _load_model(args):
+    """(context, checkpoint, model) of the pipeline flags."""
+    ctx = _context_from_flags(args)
+    ckpt = load_checkpoint(args.checkpoint)
+    return ctx, ckpt, restore_model(ckpt, ctx.src_vocab, ctx.tgt_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +186,13 @@ def cmd_stats(args):
 
 
 def cmd_translate(args):
-    ctx = _context_from_flags(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    model = restore_model(ckpt, ctx.src_vocab, ctx.tgt_vocab)
+    ctx, _, model = _load_model(args)
     _write_lines(args, translate_lines(model, _read_lines(args), ctx,
                                        _decode_config(args)))
 
 
 def cmd_backtranslate(args):
-    ctx = _context_from_flags(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    model = restore_model(ckpt, ctx.src_vocab, ctx.tgt_vocab)
+    ctx, ckpt, model = _load_model(args)
     mono = load_monolingual(args.mono, ctx.src_lang)
     pseudo = generate_pseudo_parallel(model, mono, ctx, _decode_config(args),
                                       checkpoint_fingerprint=ckpt.fingerprint())

@@ -1,18 +1,18 @@
 """Autoregressive inference: beam search with length-normalized scores
 (greedy is beam 1), and the full text-to-text translation pipeline.
 
-One search loop, ``_search``, drives a model through the incremental
-contract of ``models``: ``init_state(memory)``, then ``step(state,
-last_ids)`` once per position. ``step`` runs the same decoder body as the
-teacher-forced ``decode_step`` that training uses, one token at a time.
-The loop's rows are sentences x beam, and ``state.select(rows)`` carries
-parents forward and drops finished hypotheses and sentences. A
-sentence's length cap is also kept within the positions the model can
-feed (``max_positions`` of the conv and transformer configs), and
-``translate_lines`` leaves a source longer than that untranslated.
-``greedy_decode_batch``, ``greedy_decode`` and ``beam_decode`` wrap the
-search; ``decode_many`` (``translate_lines``, dev BLEU in training) runs
-it DECODE_CHUNK sentences at a time.
+Every search is one call of ``_search(model, id_lists, config)``, which
+pads the id lists, masks their PAD ids and takes the beam from ``config``.
+It drives a model through the incremental contract of ``models``:
+``init_state(memory)``, then ``step(state, last_ids)`` once per position,
+the decoder body of the teacher-forced ``decode_step`` one token at a
+time. The loop's rows are sentences x beam, and ``state.select(rows)``
+carries parents forward and drops finished hypotheses and sentences. A
+length cap stays within ``models.max_positions``, and ``translate_lines``
+leaves a source longer than that untranslated. ``decode_many``
+(``translate_lines``, dev BLEU in training) searches DECODE_CHUNK
+sentences at a time; ``greedy_decode_batch``, ``greedy_decode`` and
+``beam_decode`` search once each.
 
 A search runs the model in its ``search_dtype`` (float32 for the
 transformer, float64 for the LSTM and conv models, see
@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
+from .models import max_positions
 from .pipeline import PipelineContext
 from .subword import BOS_ID, EOS_ID, PAD_ID
 
@@ -60,6 +61,15 @@ class DecodeConfig:
     beam: int = 5
     max_len: int = None          # None: 2 * source length + 10
     length_penalty: float = 1.0  # score divided by length**alpha
+
+    @classmethod
+    def from_settings(cls, beam, max_len, length_penalty) -> "DecodeConfig":
+        """The config of a CLI or experiment setting, where a max_len of 0
+        derives the cap from the source length."""
+        if isinstance(max_len, numbers.Real) and max_len < 0:
+            raise ConfigError(f"max_len must be >= 0 (0: 2 * source length + 10), "
+                              f"got {max_len!r}")
+        return cls(beam, max_len or None, length_penalty)
 
     def __post_init__(self):
         _check_count("beam", self.beam)
@@ -108,11 +118,6 @@ def _step_logprobs(logits: np.ndarray) -> np.ndarray:
         return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _as_batch(src_ids) -> np.ndarray:
-    arr = np.asarray(src_ids, dtype=np.int64)
-    return arr[None, :] if arr.ndim == 1 else arr
-
-
 def _top(score: np.ndarray, sent: np.ndarray, beam: int):
     """Each sentence's top ``beam`` expansions from [rows, V] scores whose
     rows are grouped by sentence (``sent``): (parent rows, tokens, scores),
@@ -134,14 +139,10 @@ def _top(score: np.ndarray, sent: np.ndarray, beam: int):
     return rows, toks, flat[order]
 
 
-def _max_positions(model):
-    """The most positions the model can feed (inf when it has no bound)."""
-    return getattr(getattr(model, "config", None), "max_positions", None) or np.inf
-
-
-def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
-    """Beam search over every row of a padded source batch at once; one
-    n-best list per source row, best first.
+def _search(model, id_lists, config: DecodeConfig) -> list:
+    """Beam search of width ``config.beam`` over every id list at once,
+    padded into one batch whose PAD ids are the source mask; one n-best
+    list per id list, best first.
 
     Every live hypothesis of every sentence is a row of one decoder
     state, a sentence's rows kept together. Each step expands every row
@@ -153,10 +154,16 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
     beaten; its rows then leave the state. Greedy search is beam 1. The
     model runs in its ``search_dtype``.
     """
-    alpha = config.length_penalty
-    n = src.shape[0]
+    n = len(id_lists)
+    if not n:
+        return []
+    src = np.full((n, max(len(ids) for ids in id_lists)), PAD_ID, dtype=np.int64)
+    for r, ids in enumerate(id_lists):
+        src[r, :len(ids)] = ids
+    pad_mask = src == PAD_ID
+    alpha, beam = config.length_penalty, config.beam
     # a hypothesis of c tokens feeds positions 0 .. c - 1
-    limit = _max_positions(model)
+    limit = max_positions(model)
     caps = np.array([min(config.resolved_max_len(int(k)), limit)
                      for k in (~pad_mask).sum(axis=1)])
     bound = np.array([float(c) ** alpha for c in caps])  # best score / bound: best possible
@@ -196,12 +203,14 @@ def _search(model, src, pad_mask, config: DecodeConfig, beam: int) -> list:
 
 def greedy_decode_batch(model, src_batch, src_pad_mask=None,
                         config: DecodeConfig = None) -> list:
-    """Greedy decoding of a padded source batch; one Hypothesis per row."""
-    src = _as_batch(src_batch)
-    if src_pad_mask is None:
-        src_pad_mask = src == PAD_ID
+    """Greedy decoding of a padded source batch; one Hypothesis per row.
+    A row's ids are those ``src_pad_mask`` leaves (default: its non-PAD
+    ids)."""
+    src = np.atleast_2d(np.asarray(src_batch, dtype=np.int64))
+    keep = src != PAD_ID if src_pad_mask is None else ~np.asarray(src_pad_mask)
     return [n_best[0] for n_best in
-            _search(model, src, src_pad_mask, config or DecodeConfig(beam=1), 1)]
+            _search(model, [row[k] for row, k in zip(src, keep)],
+                    replace(config or DecodeConfig(), beam=1))]
 
 
 def decode_many(model, id_lists, config: DecodeConfig) -> list:
@@ -209,32 +218,23 @@ def decode_many(model, id_lists, config: DecodeConfig) -> list:
     padded to its longest row; the best Hypothesis of each list, in
     order."""
     model = model.cast(model.search_dtype)  # once for every chunk's search
-    hyps = []
-    for lo in range(0, len(id_lists), DECODE_CHUNK):
-        chunk = id_lists[lo:lo + DECODE_CHUNK]
-        batch = np.full((len(chunk), max(len(ids) for ids in chunk)), PAD_ID,
-                        dtype=np.int64)
-        for r, ids in enumerate(chunk):
-            batch[r, :len(ids)] = ids
-        hyps += [n_best[0] for n_best in
-                 _search(model, batch, batch == PAD_ID, config, config.beam)]
-    return hyps
+    return [n_best[0] for lo in range(0, len(id_lists), DECODE_CHUNK)
+            for n_best in _search(model, id_lists[lo:lo + DECODE_CHUNK], config)]
 
 
 def greedy_decode(model, src_ids, config: DecodeConfig = None) -> Hypothesis:
     """At each step append the argmax token (ties to the lowest id);
     stop at EOS or the length cap."""
-    return greedy_decode_batch(model, _as_batch(src_ids), config=config)[0]
+    greedy = replace(config or DecodeConfig(), beam=1)
+    return _search(model, [np.ravel(src_ids)], greedy)[0][0]
 
 
 def beam_decode(model, src_ids, config: DecodeConfig = None):
     """Beam search over one source sentence; returns (best, n_best), the
     finished hypotheses best first."""
-    config = config or DecodeConfig()
-    src = _as_batch(src_ids)
-    if src.shape[0] != 1:
+    if np.ndim(src_ids) > 1 and len(src_ids) != 1:
         raise ConfigError("beam_decode works on a single sentence")
-    n_best = _search(model, src, src == PAD_ID, config, config.beam)[0]
+    n_best = _search(model, [np.ravel(src_ids)], config or DecodeConfig())[0]
     return n_best[0], n_best
 
 
@@ -247,7 +247,7 @@ def translate_lines(model, lines, ctx: PipelineContext,
     translates to ""."""
     config = config or DecodeConfig()
     ctx.check_model(model)
-    limit = _max_positions(model)
+    limit = max_positions(model)
     out = [""] * len(lines)
     rows, todo = [], []
     for i, ln in enumerate(lines):

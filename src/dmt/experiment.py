@@ -145,9 +145,7 @@ class ExperimentConfig:
         return config_for_arch(self.arch, **{"dropout": dropout, **overrides})
 
     def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(beam=self.beam,
-                            max_len=self.max_len if self.max_len > 0 else None,
-                            length_penalty=self.length_penalty)
+        return DecodeConfig.from_settings(self.beam, self.max_len, self.length_penalty)
 
 
 class _Logger:

@@ -48,7 +48,8 @@ from .subword import BOS_ID, PAD_ID
 __all__ = [
     "LstmConfig", "ConvConfig", "TransformerConfig", "EncoderMemory",
     "DecodeState", "SeqModel", "LstmModel", "ConvModel", "TransformerModel",
-    "build_model", "config_for_arch", "label_smoothed_loss", "ARCH_CONFIGS",
+    "build_model", "config_for_arch", "label_smoothed_loss", "max_positions",
+    "ARCH_CONFIGS",
 ]
 
 NEG_INF = float("-inf")
@@ -704,6 +705,11 @@ def build_model(config, src_vocab, tgt_vocab, seed: int) -> SeqModel:
     if cls is None:
         raise ConfigError(f"unknown config type {type(config).__name__}")
     return cls(config, src_vocab, tgt_vocab, seed)
+
+
+def max_positions(model):
+    """The most positions the model can feed (inf when it has no bound)."""
+    return getattr(getattr(model, "config", None), "max_positions", None) or np.inf
 
 
 def label_smoothed_loss(logits: Tensor, target_ids, pad_id: int = PAD_ID,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .corpus import read_lines, write_lines
 from .errors import VocabError
-from .textnorm import TokenizedSentence
 
 __all__ = [
     "BpeModel", "Vocabulary", "PAD_ID", "UNK_ID", "BOS_ID", "EOS_ID",
@@ -30,12 +29,6 @@ PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 
 _MODEL_HEADER = "dmt-bpe v1"
-
-
-def _tokens_of(sentence):
-    if isinstance(sentence, TokenizedSentence):
-        return list(sentence.tokens)
-    return list(sentence)
 
 
 @dataclass
@@ -112,7 +105,7 @@ def learn_bpe(corpus, num_merges: int) -> BpeModel:
         raise VocabError(f"num_merges must be >= 0, got {num_merges}")
     word_freq = Counter()
     for sentence in corpus:
-        word_freq.update(_tokens_of(sentence))
+        word_freq.update(sentence)
     vocab = [(_word_symbols(w), f) for w, f in sorted(word_freq.items())]
 
     merges = []
@@ -172,7 +165,7 @@ def apply_bpe(model: BpeModel, sentence):
     unsplit tokens come through as themselves.
     """
     out = []
-    for token in _tokens_of(sentence):
+    for token in sentence:
         out.extend(_segment(model, token))
     return out
 
@@ -279,5 +272,5 @@ def build_vocab(corpus, min_count: int = 1, max_size: int = None) -> Vocabulary:
     lexicographically, ids starting at 4 after the specials."""
     counts = Counter()
     for sentence in corpus:
-        counts.update(_tokens_of(sentence))
+        counts.update(sentence)
     return Vocabulary.from_counts(counts, min_count=min_count, max_size=max_size)

@@ -7,6 +7,8 @@ block (ASCII, digits, punctuation) passes through unchanged.
 
 from __future__ import annotations
 
+import functools
+import re
 import unicodedata
 from dataclasses import dataclass
 
@@ -30,9 +32,6 @@ class ScriptId:
     block_base: int
 
     BLOCK_SIZE = 128
-
-    def contains(self, cp: int) -> bool:
-        return self.block_base <= cp < self.block_base + self.BLOCK_SIZE
 
 
 DEVANAGARI = ScriptId("Devanagari", 0x0900)
@@ -89,7 +88,8 @@ class TokenizedSentence:
 
 
 def _build_nukta_table() -> dict:
-    """Map (base, nukta) pairs to their precomposed codepoint.
+    """Map each two-codepoint base + nukta string to its precomposed
+    codepoint.
 
     Unicode lists these precomposed letters as composition exclusions, so
     NFC leaves the two-codepoint form; we fold them back to one codepoint
@@ -103,24 +103,16 @@ def _build_nukta_table() -> dict:
                 continue
             parts = decomp.split()
             if len(parts) == 2 and "NUKTA" in unicodedata.name(chr(int(parts[1], 16)), ""):
-                table[(chr(int(parts[0], 16)), chr(int(parts[1], 16)))] = chr(cp)
+                table[chr(int(parts[0], 16)) + chr(int(parts[1], 16))] = chr(cp)
     return table
 
 
 _NUKTA_COMPOSE = _build_nukta_table()
+_NUKTA_PAIR = re.compile("|".join(map(re.escape, _NUKTA_COMPOSE)))
 
 
 def _compose_nukta(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        if i + 1 < len(text) and (text[i], text[i + 1]) in _NUKTA_COMPOSE:
-            out.append(_NUKTA_COMPOSE[(text[i], text[i + 1])])
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+    return _NUKTA_PAIR.sub(lambda m: _NUKTA_COMPOSE[m.group()], text)
 
 
 def normalize(text: str, lang: str = None, keep_joiners: bool = False) -> str:
@@ -175,10 +167,9 @@ _NO_SPACE_AFTER = set("([{«‘“")
 
 def detokenize(tokens) -> str:
     """Join tokens, re-attaching punctuation to its neighbor."""
-    toks = list(tokens.tokens if isinstance(tokens, TokenizedSentence) else tokens)
     out = []
     glue_next = False
-    for tok in toks:
+    for tok in tokens:
         if not out:
             out.append(tok)
         elif glue_next or (len(tok) == 1 and tok in _NO_SPACE_BEFORE):
@@ -187,6 +178,21 @@ def detokenize(tokens) -> str:
             out.append(tok)
         glue_next = len(tok) == 1 and tok in _NO_SPACE_AFTER
     return " ".join(out)
+
+
+@functools.cache
+def _translit_tables(src: ScriptId, dst: ScriptId):
+    """``str.translate`` tables for src -> dst: one offset-maps each slot
+    of src's block whose dst slot is assigned, the other deletes the
+    slots whose dst slot is not."""
+    mapped, unmapped = {}, {}
+    for k in range(ScriptId.BLOCK_SIZE):
+        target = chr(dst.block_base + k)
+        if unicodedata.category(target) != "Cn":
+            mapped[src.block_base + k] = target
+        else:
+            unmapped[src.block_base + k] = None
+    return mapped, unmapped
 
 
 def transliterate_counted(text: str, src: ScriptId, dst: ScriptId):
@@ -198,20 +204,8 @@ def transliterate_counted(text: str, src: ScriptId, dst: ScriptId):
     """
     if src.block_base == dst.block_base:
         return text, 0
-    out = []
-    passthrough = 0
-    for ch in text:
-        cp = ord(ch)
-        if src.contains(cp):
-            target = cp - src.block_base + dst.block_base
-            if unicodedata.category(chr(target)) != "Cn":
-                out.append(chr(target))
-            else:
-                out.append(ch)
-                passthrough += 1
-        else:
-            out.append(ch)
-    return "".join(out), passthrough
+    mapped, unmapped = _translit_tables(src, dst)
+    return text.translate(mapped), len(text) - len(text.translate(unmapped))
 
 
 def transliterate(text: str, src: ScriptId, dst: ScriptId) -> str:

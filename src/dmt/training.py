@@ -24,13 +24,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RngState, fan_seed
 from .bleu import score_corpus
-from .decoding import DecodeConfig, _max_positions, decode_many
+from .decoding import DecodeConfig, decode_many
 from .errors import (CheckpointError, ConfigError, DivergenceError,
                      FingerprintError)
-from .models import ARCH_CONFIGS, build_model, label_smoothed_loss
-from .subword import BOS_ID, PAD_ID
+from .models import ARCH_CONFIGS, build_model, label_smoothed_loss, max_positions
+from .subword import BOS_ID, PAD_ID, undo_bpe
 from .textnorm import detokenize
-from .subword import undo_bpe
 
 __all__ = [
     "TrainConfig", "dump_fields", "load_fields", "parse_entries",
@@ -497,14 +496,12 @@ def snapshot(model, opt: AdamState = None, epoch: int = 0, dev_loss: float = 0.0
         train_config=train_config)
 
 
-def restore_model(ckpt: Checkpoint, src_vocab, tgt_vocab, verify: bool = True):
+def restore_model(ckpt: Checkpoint, src_vocab, tgt_vocab):
     """Rebuild the model a checkpoint describes; forward outputs are
     bit-identical to the saved model's."""
-    if verify:
-        if (src_vocab.fingerprint(), tgt_vocab.fingerprint()) != (
-                ckpt.src_vocab_fp, ckpt.tgt_vocab_fp):
-            raise FingerprintError(
-                "vocabulary fingerprints do not match the checkpoint")
+    if (src_vocab.fingerprint(), tgt_vocab.fingerprint()) != (
+            ckpt.src_vocab_fp, ckpt.tgt_vocab_fp):
+        raise FingerprintError("vocabulary fingerprints do not match the checkpoint")
     model = build_model(ckpt.model_config, src_vocab, tgt_vocab, seed=0)
     if set(model.params) != set(ckpt.params):
         raise CheckpointError("checkpoint parameter names do not match the config")
@@ -596,7 +593,7 @@ def train(model, train_data, dev_data, config: TrainConfig, run_dir=None):
     pairs with more ids than the model has positions are left out.
     """
     config.validate()
-    limit = _max_positions(model)  # a target of n ids feeds n positions
+    limit = max_positions(model)  # a target of n ids feeds n positions
     fits = lambda pairs: [p for p in pairs if max(len(p[0]), len(p[1])) <= limit]
     too_long = len(train_data) + len(dev_data)
     train_data, dev_data = fits(train_data), fits(dev_data)

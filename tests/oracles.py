@@ -9,10 +9,13 @@ convolution's reference is the per-tap loop over a zero-padded input. The
 incremental decoders' reference, RecomputeDecoder, carries no decoder
 state at all: every step re-runs the teacher-forced ``decode_step`` over
 the whole prefix. Float64Search is the float64 reference of the float32
-search: a search through it keeps the model's float64 parameters.
+search: a search through it keeps the model's float64 parameters. The
+transliteration reference maps one codepoint at a time, and the nukta
+reference scans the text pair by pair.
 """
 
 import math
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
@@ -195,6 +198,44 @@ def clipped_matches_oracle(candidate, references, n: int):
         best = max((_ngram_counts(ref, n)[gram] for ref in references), default=0)
         clipped += min(cnt, best)
     return clipped, total
+
+
+# ---------------------------------------------------------------------------
+# text: transliteration and nukta composition one codepoint at a time
+
+
+def transliterate_counted_loop(text: str, src, dst):
+    """Offset-map each codepoint of src's block to dst's block, leaving one
+    whose dst slot is unassigned; (text, count of those left)."""
+    if src.block_base == dst.block_base:
+        return text, 0
+    out = []
+    passthrough = 0
+    for ch in text:
+        cp = ord(ch)
+        if src.block_base <= cp < src.block_base + src.BLOCK_SIZE:
+            target = chr(cp - src.block_base + dst.block_base)
+            if unicodedata.category(target) != "Cn":
+                out.append(target)
+                continue
+            passthrough += 1
+        out.append(ch)
+    return "".join(out), passthrough
+
+
+def compose_nukta_pairwise(text: str, table: dict) -> str:
+    """Left to right, replace each (base, nukta) pair that ``table`` maps
+    with its precomposed codepoint."""
+    out = []
+    i = 0
+    while i < len(text):
+        if i + 1 < len(text) and (text[i], text[i + 1]) in table:
+            out.append(table[(text[i], text[i + 1])])
+            i += 2
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

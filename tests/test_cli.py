@@ -275,6 +275,23 @@ class TestModelCommands:
                               [[s.split()] for s in src_lines[:8]])
         assert report.mean > 0.7  # overfit copy model mostly reproduces input
 
+    def test_translate_negative_max_len_is_a_one_line_error(self, capsys, monkeypatch,
+                                                            copy_experiment):
+        run_dir = copy_experiment["run_dir"]
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            ["translate",
+             "--checkpoint", str(run_dir / "best.dmt"),
+             "--bpe-model", str(run_dir / "bpe" / "src.model"),
+             "--vocab-src", str(run_dir / "vocab" / "src.vocab"),
+             "--vocab-tgt", str(run_dir / "vocab" / "tgt.vocab"),
+             "--src-script", "kannada", "--tgt-script", "malayalam",
+             "--max-len", "-1"],
+            stdin="a b\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dmt: error: max_len") and len(err.strip().splitlines()) == 1
+
     def test_translate_empty_line_gives_empty_line(self, capsys, monkeypatch,
                                                    copy_experiment):
         run_dir = copy_experiment["run_dir"]

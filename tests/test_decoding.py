@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dmt.autodiff import RngState
-from dmt.decoding import (DecodeConfig, Hypothesis, beam_decode, greedy_decode,
-                          greedy_decode_batch)
+from dmt.decoding import (DecodeConfig, Hypothesis, beam_decode, decode_many,
+                          greedy_decode, greedy_decode_batch)
 from dmt.errors import ConfigError
 from dmt.models import build_model, config_for_arch
 from dmt.subword import BOS_ID, EOS_ID, PAD_ID
@@ -228,6 +228,38 @@ class TestBeam:
         model = cipher_table_model(mapping, vocab, vocab)
         hyp, _ = beam_decode(model, [6, 6, 4], DecodeConfig(beam=2))
         assert hyp.output_ids == (5, 5, 7)
+
+
+class TestSearchEntries:
+    @pytest.mark.parametrize("arch", ["lstm", "bilstm", "conv", "transformer"])
+    def test_every_entry_gives_the_same_hypotheses(self, arch):
+        """decode_many, greedy_decode_batch (mask derived or explicit),
+        greedy_decode and beam_decode at beam 1 are one search: on the same
+        sources they return equal ids and log-probs."""
+        model = tiny_real_model(arch, seed=3)
+        cfg = DecodeConfig(beam=1, max_len=8)
+        sources = [[4, 5, 6, 7, EOS_ID], [8, EOS_ID], [5, 9, 6, EOS_ID]]
+        batch = np.full((3, 5), PAD_ID, dtype=np.int64)
+        for i, s in enumerate(sources):
+            batch[i, :len(s)] = s
+        many = decode_many(model, sources, cfg)
+        assert greedy_decode_batch(model, batch, config=cfg) == many
+        assert greedy_decode_batch(model, batch, batch == PAD_ID, cfg) == many
+        for s in sources:
+            alone = decode_many(model, [s], cfg)
+            assert greedy_decode_batch(model, np.array([s]), config=cfg) == alone
+            assert [greedy_decode(model, s, cfg)] == alone
+            assert [beam_decode(model, s, cfg)[0]] == alone
+
+    def test_beam_decode_rejects_two_rows(self):
+        model = random_table_model(3, 8)
+        with pytest.raises(ConfigError):
+            beam_decode(model, np.array([[4, 5], [6, 7]]), DecodeConfig(beam=2))
+
+    def test_empty_batch_gives_no_hypotheses(self):
+        model = tiny_real_model("transformer", seed=0)
+        assert decode_many(model, [], DecodeConfig(beam=2)) == []
+        assert greedy_decode_batch(model, np.zeros((0, 4), dtype=np.int64)) == []
 
 
 class TestHypothesis:

@@ -196,10 +196,11 @@ class TestRunExperiment:
         {"arch": "conv", "model.dim": "abc"}, {"model.bogus": "1"}, {"arch": "foo"},
         {"model.dropout": "1.5"}, {"arch": "lstm", "model.dropout": "-0.5"},
         {"model.max_positions": "0"}, {"upsample_real": "0"}, {"bpe_merges": "-1"},
-        {"arch": "transformer", "train.arch": "lstm"},
+        {"arch": "transformer", "train.arch": "lstm"}, {"max_len": "-1"},
     ], ids=["missing-file", "beam-abc", "beam-0", "epochs-0", "epochs-abc",
             "model-dim-abc", "model-bogus", "arch-foo", "dropout-1.5", "dropout-negative",
-            "max-positions-0", "upsample-real-0", "bpe-merges-negative", "train-arch-lstm"])
+            "max-positions-0", "upsample-real-0", "bpe-merges-negative", "train-arch-lstm",
+            "max-len-negative"])
     def test_validation_before_any_stage(self, tmp_path, bad):
         for name in ("c.kn", "c.ml"):
             (tmp_path / name).write_text("a b\n", encoding="utf-8")

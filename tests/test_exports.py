@@ -1,7 +1,8 @@
 """Every name a dmt module lists in __all__ exists, so a deleted symbol
-cannot linger as a stale export, and every autodiff export has a caller
-outside the tests."""
+cannot linger as a stale export, every autodiff export has a caller
+outside the tests, and no dmt module imports another's private names."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -38,3 +39,17 @@ def test_autodiff_exports_have_callers():
     unused = [n for n in autodiff.__all__ if not re.search(
         rf'(\bad\.|\bautodiff\.|"|autodiff import [^\n]*\b){n}\b', text)]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A rule that two modules need lives in a public name: no dmt module
+    imports a _-prefixed name (dunders aside) from another dmt module."""
+    root = Path(dmt.__file__).resolve().parent
+    private = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "dmt"):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_") and not a.name.endswith("__")]
+    assert private == []

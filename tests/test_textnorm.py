@@ -4,9 +4,13 @@ import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmt import textnorm as tn
 from dmt.autodiff import RngState
+
+from oracles import compose_nukta_pairwise, transliterate_counted_loop
 
 GOLDEN = (Path(__file__).parent / "data" / "golden_sentences.txt").read_text(
     encoding="utf-8").splitlines()
@@ -167,3 +171,31 @@ class TestTransliterate:
         assert tn.script_for_lang("sn") is tn.DEVANAGARI
         with pytest.raises(KeyError):
             tn.script("latin")
+
+
+NUKTA_PAIRS = {(base, mark): composed for base, mark, composed in independent_nukta_pairs()}
+# the five Indic blocks, ASCII, the joiners and the nukta pairs
+TEXT = st.lists(st.one_of(
+    st.sampled_from([chr(cp) for s in tn.SCRIPTS.values()
+                     for cp in range(s.block_base, s.block_base + tn.ScriptId.BLOCK_SIZE)]),
+    st.characters(max_codepoint=0x7F),
+    st.sampled_from([tn.ZWJ, tn.ZWNJ]),
+    st.sampled_from([base + mark for base, mark in NUKTA_PAIRS]),
+)).map("".join)
+ANY_SCRIPT = st.sampled_from(list(tn.SCRIPTS.values()))
+
+
+class TestFastPathsMatchReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(TEXT, ANY_SCRIPT, ANY_SCRIPT)
+    @example("ಕಖ", tn.KANNADA, tn.KANNADA)
+    @example("क़ழ", tn.TAMIL, tn.TAMIL)
+    def test_translate_tables_match_the_per_codepoint_loop(self, text, src, dst):
+        """Text and passthrough count, same-script calls included."""
+        assert tn.transliterate_counted(text, src, dst) == \
+            transliterate_counted_loop(text, src, dst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXT)
+    def test_nukta_regex_matches_the_pairwise_scan(self, text):
+        assert tn._compose_nukta(text) == compose_nukta_pairwise(text, NUKTA_PAIRS)
