@@ -8,8 +8,14 @@ their constants (masks, biases, zero states) in their parameters' dtype.
 
 Every operation records a node on a global tape while gradients are
 enabled; ``backward(loss)`` walks the tape in reverse execution order
-(a valid reverse topological order), accumulates gradients with ``+=``
-into every tensor that requires them, and consumes the tape.
+(a valid reverse topological order), sums gradients into every tensor
+that requires them, and consumes the tape.
+
+Arrays are values: nothing writes in place into an array that a tensor's
+``data`` or ``grad`` holds. An op, a VJP or the optimizer makes a new
+array and rebinds, so a gradient may share its buffer with the output
+gradient it came from, a sibling's gradient or a broadcast view, and a
+checkpoint may share the model's parameters, all without a copy.
 
 Masked attention positions are represented by additive -inf before
 softmax, so -inf values are legitimate in pre-softmax scores; a fully
@@ -192,14 +198,8 @@ def backward(loss: Tensor):
             if g is None:
                 continue
             for t, gi in zip(node.inputs, node.vjp(g)):
-                if gi is None or not t.requires_grad:
-                    continue
-                if t.grad is None:
-                    # copy: vjp results may alias buffers shared with
-                    # sibling gradients (e.g. concat's split views)
-                    t.grad = np.array(gi)
-                else:
-                    t.grad += gi
+                if gi is not None and t.requires_grad:
+                    t.grad = gi if t.grad is None else t.grad + gi
     finally:
         _TAPE.clear()
 
@@ -294,7 +294,7 @@ def reduce_sum(x, axis=None) -> Tensor:
     def vjp(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, x.shape),)
 
     return _make(data, (x,), vjp)
 
@@ -393,10 +393,9 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     safe_s = np.where(s == 0.0, 1.0, s)
     with np.errstate(divide="ignore"):
         data = z - np.log(safe_s)
-    probs = e / safe_s
 
     def vjp(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
+        return (g - e / safe_s * g.sum(axis=axis, keepdims=True),)
 
     return _make(data, (x,), vjp)
 

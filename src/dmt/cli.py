@@ -186,15 +186,16 @@ def cmd_stats(args):
 
 
 def cmd_translate(args):
+    config = _decode_config(args)
     ctx, _, model = _load_model(args)
-    _write_lines(args, translate_lines(model, _read_lines(args), ctx,
-                                       _decode_config(args)))
+    _write_lines(args, translate_lines(model, _read_lines(args), ctx, config))
 
 
 def cmd_backtranslate(args):
+    config = _decode_config(args)
     ctx, ckpt, model = _load_model(args)
     mono = load_monolingual(args.mono, ctx.src_lang)
-    pseudo = generate_pseudo_parallel(model, mono, ctx, _decode_config(args),
+    pseudo = generate_pseudo_parallel(model, mono, ctx, config,
                                       checkpoint_fingerprint=ckpt.fingerprint())
     prefix = Path(args.out)
     save_pseudo(pseudo, prefix)

@@ -272,7 +272,8 @@ class AdamState:
 
 def adam_step(params: dict, state: AdamState, lr: float, betas=(0.9, 0.999),
               eps: float = 1e-8, clip_norm: float = 0.0):
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update. It rebinds each parameter's data
+    and each moment to a new array, and writes into none.
 
     Gradients are globally L2-clipped first when clip_norm > 0; a NaN
     gradient aborts the step before any parameter moves.
@@ -296,13 +297,9 @@ def adam_step(params: dict, state: AdamState, lr: float, betas=(0.9, 0.999),
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m = state.m[name] = state.m[name] * b1 + (1.0 - b1) * g
+        v = state.v[name] = state.v[name] * b2 + (1.0 - b2) * g * g
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 class PlateauScheduler:
@@ -484,14 +481,15 @@ def load_checkpoint(path) -> Checkpoint:
 
 def snapshot(model, opt: AdamState = None, epoch: int = 0, dev_loss: float = 0.0,
              dev_bleu: float = 0.0, train_config: TrainConfig = None) -> Checkpoint:
+    """The model's (and optimizer's) state now, as a checkpoint that
+    shares the model's arrays: nothing writes into them, and adam_step
+    rebinds new ones, so later steps leave the checkpoint as it was."""
     src_fp, tgt_fp = model.vocab_fingerprints()
     return Checkpoint(
         arch=model.arch, model_config=model.config,
         src_vocab_fp=src_fp, tgt_vocab_fp=tgt_fp,
-        params={k: p.data.copy() for k, p in model.params.items()},
-        opt=None if opt is None else AdamState(
-            m={k: a.copy() for k, a in opt.m.items()},
-            v={k: a.copy() for k, a in opt.v.items()}, t=opt.t),
+        params={k: p.data for k, p in model.params.items()},
+        opt=None if opt is None else AdamState(m=dict(opt.m), v=dict(opt.v), t=opt.t),
         epoch=epoch, dev_loss=dev_loss, dev_bleu=dev_bleu,
         train_config=train_config)
 
@@ -510,7 +508,7 @@ def restore_model(ckpt: Checkpoint, src_vocab, tgt_vocab):
             raise CheckpointError(
                 f"shape mismatch for {name}: {model.params[name].data.shape} "
                 f"vs {arr.shape}")
-        model.params[name].data = arr.copy()
+        model.params[name].data = arr
     return model
 
 

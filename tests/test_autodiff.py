@@ -515,6 +515,30 @@ class TestBackward:
         ad.backward(ad.reduce_sum(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, [4.0])
 
+    def test_gradient_shared_by_two_inputs_is_not_written_through(self):
+        # the outer add hands one array to both its inputs; b then gets a
+        # second contribution, which must not reach a's gradient
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        w = np.array([2.0, -1.0])
+        ad.backward(ad.reduce_sum(ad.mul(ad.add(ad.add(a, b), b), w)))
+        np.testing.assert_array_equal(a.grad, w)
+        np.testing.assert_array_equal(b.grad, 2.0 * w)
+
+    def test_concat_split_views_are_not_written_through(self):
+        # x's gradient starts as a view of the concat's output gradient,
+        # which q holds too; x's second use must leave q's gradient alone
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0], requires_grad=True)
+        q = Tensor([0.5, 0.5, 0.5], requires_grad=True)
+        u = ad.mul(x, 3.0)
+        s = ad.add(ad.concat([x, y]), q)
+        w, v = np.array([1.0, -2.0, 4.0]), np.array([5.0, 7.0])
+        ad.backward(ad.add(ad.reduce_sum(ad.mul(s, w)), ad.reduce_sum(ad.mul(u, v))))
+        np.testing.assert_array_equal(q.grad, w)
+        np.testing.assert_array_equal(x.grad, w[:2] + 3.0 * v)
+        np.testing.assert_array_equal(y.grad, w[2:])
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):

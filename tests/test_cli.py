@@ -292,6 +292,28 @@ class TestModelCommands:
         assert out == ""
         assert err.startswith("dmt: error: max_len") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("cmd,ckpt_flag", [(["translate"], "--checkpoint"),
+                                               (["backtranslate", "--mono", "m.ml",
+                                                 "--out", "o"], "--reverse-checkpoint")],
+                             ids=["translate", "backtranslate"])
+    def test_decode_flags_checked_before_files_are_read(self, capsys, monkeypatch,
+                                                        tmp_path, cmd, ckpt_flag):
+        # no checkpoint, BPE or vocabulary file exists: a bad beam must be
+        # the diagnostic, not the first missing file
+        missing = lambda name: str(tmp_path / name)
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            cmd + [ckpt_flag, missing("best.dmt"),
+                   "--bpe-model", missing("src.model"),
+                   "--vocab-src", missing("src.vocab"),
+                   "--vocab-tgt", missing("tgt.vocab"),
+                   "--src-script", "kannada", "--tgt-script", "malayalam",
+                   "--beam", "0"],
+            stdin="a b\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dmt: error: beam") and len(err.strip().splitlines()) == 1
+
     def test_translate_empty_line_gives_empty_line(self, capsys, monkeypatch,
                                                    copy_experiment):
         run_dir = copy_experiment["run_dir"]

@@ -13,7 +13,7 @@ from dmt.autodiff import RngState, Tensor
 from dmt.errors import CheckpointError, ConfigError, DivergenceError, FingerprintError
 from dmt.experiment import ExperimentConfig
 from dmt.models import (ConvConfig, LstmConfig, TransformerConfig, build_model,
-                        config_for_arch)
+                        config_for_arch, label_smoothed_loss)
 from dmt.subword import BOS_ID, EOS_ID, PAD_ID, build_vocab
 from dmt.training import (AdamState, Checkpoint, PlateauScheduler, TrainConfig, adam_step,
                           dump_fields, format_entries, load_checkpoint, load_fields,
@@ -214,6 +214,43 @@ class TestCheckpoint:
         opt.t = 7
         return model, snapshot(model, opt, epoch=2, dev_loss=1.5, dev_bleu=0.25,
                                train_config=TrainConfig())
+
+    def test_snapshot_and_restore_share_arrays_that_training_leaves_alone(self, vocab):
+        pairs = copy_pairs(RngState(5), 6, vocab)
+        batch = pad_batch(pairs, range(len(pairs)))
+        rng = RngState(9)
+
+        def step(model, opt):
+            logits = model.forward(batch.src, batch.src_pad_mask, batch.tgt_in,
+                                   training=True, rng=rng)
+            ad.zero_grad(model.params)
+            ad.backward(label_smoothed_loss(logits, batch.tgt_out, PAD_ID, 0.1))
+            adam_step(model.params, opt, lr=0.01, betas=(0.9, 0.98))
+
+        def arrays(ckpt):
+            return [{k: np.copy(a) for k, a in d.items()}
+                    for d in (ckpt.params, ckpt.opt.m, ckpt.opt.v)]
+
+        def assert_unchanged(ckpt, frozen):
+            for d, copies in zip((ckpt.params, ckpt.opt.m, ckpt.opt.v), frozen):
+                assert d.keys() == copies.keys()
+                for k in d:
+                    np.testing.assert_array_equal(d[k], copies[k])
+
+        model = tiny_transformer(vocab)
+        opt = AdamState.init(model.params)
+        step(model, opt)
+        ckpt = snapshot(model, opt)
+        frozen = arrays(ckpt)
+        step(model, opt)
+        step(model, opt)
+        assert not np.array_equal(model.params["out.b"].data, ckpt.params["out.b"])
+        assert_unchanged(ckpt, frozen)
+
+        restored = restore_model(ckpt, vocab, vocab)
+        step(restored, AdamState(dict(ckpt.opt.m), dict(ckpt.opt.v), ckpt.opt.t))
+        assert not np.array_equal(restored.params["out.b"].data, ckpt.params["out.b"])
+        assert_unchanged(ckpt, frozen)
 
     def test_save_load_save_byte_identical(self, vocab, tmp_path):
         _, ckpt = self.make_ckpt(vocab)
