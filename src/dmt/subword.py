@@ -5,14 +5,25 @@ Learning follows the classic iterative procedure: each word is a character
 sequence whose final character carries an end-of-word sentinel; the most
 frequent adjacent symbol pair (weighted by word frequency) is merged until
 the budget is spent or no pair occurs at least twice. Ties break to the
-lexicographically smallest (left, right).
+smallest (left, right) in code-point order (Python string comparison, not
+a locale collation).
+
+The most frequent pair comes from a min-heap of (-count, pair) entries,
+so a merge costs the words it rewrites plus O(log n) heap work instead of
+a scan over every live pair. The heap is invalidated lazily: a merge
+pushes the new count of every pair whose count it changed and deletes
+nothing, and a popped entry whose count no longer equals the pair's
+current count is stale and dropped. The pair index (which words hold a
+pair) forgets a pair once no word holds it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, defaultdict
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .corpus import read_lines, write_lines
 from .errors import VocabError
@@ -67,18 +78,27 @@ class BpeModel:
 
 def _word_symbols(token: str):
     """A token as its learning-time symbol tuple: last char carries EOW."""
+    if not token:
+        raise VocabError("empty token: BPE needs at least one character per token")
     return tuple(token[:-1]) + (token[-1] + EOW,)
 
 
-def _pair_stats(vocab):
-    """Pair frequencies plus an index of which words contain each pair."""
-    stats = Counter()
-    where = defaultdict(lambda: defaultdict(int))
-    for wi, (word, freq) in enumerate(vocab):
-        for a, b in zip(word, word[1:]):
-            stats[(a, b)] += freq
-            where[(a, b)][wi] += 1
-    return stats, where
+def _reindex(where, delta, wi, moved, freq):
+    """Apply word wi's change in pair occurrences (moved: pair -> +/-n) to
+    the pair index (pair -> {word index: occurrences}), dropping emptied
+    entries, and add the frequency-weighted change to delta."""
+    for pair, n in moved.items():
+        if not n:
+            continue
+        delta[pair] += n * freq
+        occ = where.setdefault(pair, {})
+        left = occ.get(wi, 0) + n
+        if left:
+            occ[wi] = left
+        else:
+            del occ[wi]
+            if not occ:
+                del where[pair]
 
 
 def _merge_word(word, pair):
@@ -101,6 +121,8 @@ def learn_bpe(corpus, num_merges: int) -> BpeModel:
     Stops early when no adjacent pair occurs at least twice. Deterministic:
     the same corpus and budget always produce the same merge list.
     """
+    if isinstance(num_merges, bool) or not isinstance(num_merges, Integral):
+        raise VocabError(f"num_merges must be an integer, got {num_merges!r}")
     if num_merges < 0:
         raise VocabError(f"num_merges must be >= 0, got {num_merges}")
     word_freq = Counter()
@@ -109,29 +131,36 @@ def learn_bpe(corpus, num_merges: int) -> BpeModel:
     vocab = [(_word_symbols(w), f) for w, f in sorted(word_freq.items())]
 
     merges = []
-    stats, where = _pair_stats(vocab)
-    for _ in range(num_merges):
-        if not stats:
-            break
-        best = min(stats.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        if stats[best] < 2:
+    stats, where = Counter(), {}
+    for wi, (word, freq) in enumerate(vocab):
+        _reindex(where, stats, wi, Counter(zip(word, word[1:])), freq)
+    heap = [(-count, pair) for pair, count in stats.items()]
+    heapq.heapify(heap)
+    while heap and len(merges) < num_merges:
+        neg_count, best = heapq.heappop(heap)
+        if stats.get(best) != -neg_count:
+            continue  # stale: the pair's count changed after this push
+        if -neg_count < 2:
             break
         merges.append(best)
         # update only the words that contain the merged pair
+        delta = Counter()
         for wi in list(where[best]):
             word, freq = vocab[wi]
             new_word = _merge_word(word, best)
-            for a, b in zip(word, word[1:]):
-                stats[(a, b)] -= freq
-                where[(a, b)][wi] -= 1
-                if where[(a, b)][wi] <= 0:
-                    del where[(a, b)][wi]
-                if stats[(a, b)] <= 0:
-                    del stats[(a, b)]
-            for a, b in zip(new_word, new_word[1:]):
-                stats[(a, b)] += freq
-                where[(a, b)][wi] += 1
             vocab[wi] = (new_word, freq)
+            moved = Counter(zip(new_word, new_word[1:]))
+            moved.subtract(zip(word, word[1:]))
+            _reindex(where, delta, wi, moved, freq)
+        for pair, d in delta.items():
+            if not d:
+                continue
+            count = stats[pair] + d
+            if count:
+                stats[pair] = count
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del stats[pair]
     return BpeModel(merges)
 
 

@@ -11,18 +11,21 @@ state at all: every step re-runs the teacher-forced ``decode_step`` over
 the whole prefix. Float64Search is the float64 reference of the float32
 search: a search through it keeps the model's float64 parameters. The
 transliteration reference maps one codepoint at a time, and the nukta
-reference scans the text pair by pair.
+reference scans the text pair by pair. BPE learning's reference,
+learn_bpe_scan, picks every merge by scanning all live pair counts.
 """
 
 import math
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 import dmt.autodiff as ad
 from dmt.autodiff import Tensor
+from dmt.errors import VocabError
+from dmt.subword import BpeModel
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,75 @@ def compose_nukta_pairwise(text: str, table: dict) -> str:
             out.append(text[i])
             i += 1
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# BPE learning: a full scan of the pair counts for every merge
+
+
+def _scan_word_symbols(token: str):
+    return tuple(token[:-1]) + (token[-1] + "</w>",)
+
+
+def _scan_pair_stats(vocab):
+    stats = Counter()
+    where = defaultdict(lambda: defaultdict(int))
+    for wi, (word, freq) in enumerate(vocab):
+        for a, b in zip(word, word[1:]):
+            stats[(a, b)] += freq
+            where[(a, b)][wi] += 1
+    return stats, where
+
+
+def _scan_merge_word(word, pair):
+    a, b = pair
+    out = []
+    i = 0
+    while i < len(word):
+        if i < len(word) - 1 and word[i] == a and word[i + 1] == b:
+            out.append(a + b)
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return tuple(out)
+
+
+def learn_bpe_scan(corpus, num_merges: int) -> BpeModel:
+    """Learn up to num_merges merges, choosing each with min() over every
+    live pair: the most frequent, ties to the smallest (left, right)."""
+    if num_merges < 0:
+        raise VocabError(f"num_merges must be >= 0, got {num_merges}")
+    word_freq = Counter()
+    for sentence in corpus:
+        word_freq.update(sentence)
+    vocab = [(_scan_word_symbols(w), f) for w, f in sorted(word_freq.items())]
+
+    merges = []
+    stats, where = _scan_pair_stats(vocab)
+    for _ in range(num_merges):
+        if not stats:
+            break
+        best = min(stats.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        if stats[best] < 2:
+            break
+        merges.append(best)
+        # update only the words that contain the merged pair
+        for wi in list(where[best]):
+            word, freq = vocab[wi]
+            new_word = _scan_merge_word(word, best)
+            for a, b in zip(word, word[1:]):
+                stats[(a, b)] -= freq
+                where[(a, b)][wi] -= 1
+                if where[(a, b)][wi] <= 0:
+                    del where[(a, b)][wi]
+                if stats[(a, b)] <= 0:
+                    del stats[(a, b)]
+            for a, b in zip(new_word, new_word[1:]):
+                stats[(a, b)] += freq
+                where[(a, b)][wi] += 1
+            vocab[wi] = (new_word, freq)
+    return BpeModel(merges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,33 @@
 """BPE learning/application, vocabulary, and id codec contracts."""
 
+import hashlib
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmt.autodiff import RngState
 from dmt.errors import VocabError
 from dmt.subword import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, BpeModel, Vocabulary,
                          apply_bpe, build_vocab, learn_bpe,
                          undo_bpe, undo_bpe_counted)
+
+from oracles import learn_bpe_scan
+
+GOLDEN = Path(__file__).parent / "data" / "golden_sentences.txt"
+
+# symbol units the property test builds words from: tiny alphabets make
+# count ties common; the Indic units are one to three codepoints each
+# (consonant, vowel sign, virama cluster, nukta, joiner)
+BPE_UNITS = [
+    ["a", "b"],
+    ["a", "b", "c"],
+    ["ಕ", "ನ", "ಾ", "ಿ", "್", "ಕ್ಷ", "ನ್ನ"],
+    ["ക", "ൻ", "ാ", "த", "ு", "ज़", "\u200d", "न"],
+]
 
 
 def brute_force_best_pair(word_freq):
@@ -96,6 +115,63 @@ class TestLearnBpe:
                         out.append(sym[i])
                         i += 1
                 words[w] = tuple(out)
+
+
+@st.composite
+def bpe_corpora(draw):
+    """Sentences drawn from a small pool of words, so words repeat."""
+    units = draw(st.sampled_from(BPE_UNITS))
+    word = st.lists(st.sampled_from(units), min_size=1, max_size=6).map("".join)
+    pool = draw(st.lists(word, min_size=1, max_size=8))
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=6), max_size=12))
+
+
+class TestLearnBpeAgainstScan:
+    @given(corpus=bpe_corpora(),
+           budget=st.one_of(st.integers(0, 40), st.just(10_000)))
+    @settings(max_examples=300, deadline=None)
+    @example(corpus=[["ab", "ab", "ba", "ba"]], budget=0)
+    @example(corpus=[["aaaa", "abab", "baba"]] * 3, budget=10_000)
+    def test_merges_match_full_scan(self, corpus, budget):
+        """The heap picks every merge the full scan picks, ties included,
+        whether the budget is 0, runs out, or outlasts the repeated pairs."""
+        assert learn_bpe(corpus, budget).merges == learn_bpe_scan(corpus, budget).merges
+
+    @pytest.mark.parametrize("budget, sha256", [
+        (20, "f69576076861479596e4c9526b6a67cba8f201d82af8af994daf46c5496e4cd5"),
+        (10_000, "9dd955eee9820aa4ca17791761aff4aa26344c38aed0b57e4a334e96015675ab"),
+    ])
+    def test_golden_model_bytes(self, tmp_path, budget, sha256):
+        """Pins the merge order: learned from the whitespace-split golden
+        sentences, the saved model must keep these exact bytes."""
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "golden.model"
+        learn_bpe([ln.split() for ln in lines], budget).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+class TestMalformedBpeInput:
+    def test_fractional_budget_rejected(self):
+        with pytest.raises(VocabError, match="integer"):
+            learn_bpe([["ab", "ab"]], 2.5)
+
+    def test_bool_budget_rejected(self):
+        # True once learned one merge
+        with pytest.raises(VocabError, match="integer"):
+            learn_bpe([["ab", "ab"]], True)
+
+    def test_numpy_integer_budget_accepted(self):
+        corpus = [["abc", "abd", "abc"]]
+        assert learn_bpe(corpus, np.int64(2)).merges == learn_bpe(corpus, 2).merges
+
+    def test_empty_token_in_corpus_rejected(self):
+        with pytest.raises(VocabError, match="empty token"):
+            learn_bpe([["ab", ""]], 3)
+
+    def test_empty_token_applied_rejected(self):
+        model = learn_bpe([["ab"], ["ab"]], 1)
+        with pytest.raises(VocabError, match="empty token"):
+            apply_bpe(model, [""])
 
 
 class TestApplyBpe:
